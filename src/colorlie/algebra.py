@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .grading import Degree, koszul_sign
-from .linsolve import ColumnSolver, DependentColumns, _invert
+from .linsolve import ColumnSolver, DependentColumns
 from .scalars import GaussianRational, Scalar, as_scalar
 
 Entry = Sequence[tuple[int, Scalar]]
@@ -320,36 +320,27 @@ def change_basis(table: BracketTable, new_basis: Sequence[BasisItem],
     """Rewrite a table under new_i = sum_j matrix[i][j] * old_j."""
     _check_transform(table.basis, new_basis, matrix)
     n = len(table.basis)
-    rows = [[as_scalar(matrix[i][j]).constant_value() for j in range(n)] for i in range(n)]
+    rows = [{k: v for k in range(n) if (v := as_scalar(matrix[i][k]).constant_value())}
+            for i in range(n)]
+    # new_i = sum_k rows[i][k] * old_k, so solving against the rows for old_t
+    # gives row t of the inverse: old_t in the new basis.
     try:
-        inverse = _invert([list(r) for r in rows])
+        solver = ColumnSolver(rows)
     except DependentColumns as exc:
         raise SingularTransform("basis-change matrix is singular") from exc
-    # old_m expressed in the new basis: old_m = sum_n inverse[m][n'] ... transpose care:
-    # rows: new = M old  =>  old = M^-1 new, so old_m = sum_k inverse[m][k] * new_k.
+    inverse = [{m: c for m, c in enumerate(solver.solve({t: GaussianRational(1)})[0]) if c}
+               for t in range(n)]
     constants: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for i in range(n):
         for j in range(i, n):
             acc: dict[int, GaussianRational] = {}
-            for k in range(n):
-                cik = rows[i][k]
-                if not cik:
-                    continue
-                for l in range(n):
-                    cjl = rows[j][l]
-                    if not cjl:
-                        continue
+            for k, cik in rows[i].items():
+                for l, cjl in rows[j].items():
                     for target, coeff in table.bracket(k, l):
                         weight = cik * cjl * coeff.constant_value()
-                        if not weight:
-                            continue
-                        for m in range(n):
-                            inv = inverse[target][m]
-                            if inv:
-                                acc[m] = acc.get(m, GaussianRational()) + weight * inv
-            entry = [(m, Scalar.constant(v)) for m, v in acc.items() if v]
-            if entry:
-                constants[(i, j)] = entry
+                        for m, inv in inverse[target].items():
+                            acc[m] = acc.get(m, GaussianRational()) + weight * inv
+            constants[(i, j)] = [(m, Scalar.constant(v)) for m, v in acc.items()]
     return BracketTable(new_basis, constants)
 
 
@@ -392,16 +383,10 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
 def _diagnose_failure(pair, columns, target, base_solver_residual):
     """Distinguish lam-dependent coefficients from genuine closure failure."""
     def eval_vector(vec, value: int):
-        out: dict = {}
+        out: dict = {}  # entries that cancel to zero are fine: the solver skips them
         for key, gauss in vec.items():
-            base = key[:-1]
-            exp = key[-1]
-            scaled = gauss * GaussianRational(Fraction(value) ** exp)
-            acc = out.get(base, GaussianRational()) + scaled
-            if acc:
-                out[base] = acc
-            else:
-                out.pop(base, None)
+            scaled = gauss * GaussianRational(Fraction(value) ** key[-1])
+            out[key[:-1]] = out.get(key[:-1], GaussianRational()) + scaled
         return out
 
     degree_bound = max(
@@ -430,11 +415,6 @@ def _diagnose_failure(pair, columns, target, base_solver_residual):
     raise ClosureFailure(pair, base_solver_residual)
 
 
-def _residual_str(residual: dict) -> str:
-    parts = [f"{value} @ {key}" for key, value in sorted(residual.items(), key=lambda kv: repr(kv[0]))]
-    return "; ".join(parts) if parts else "0"
-
-
 def extract_structure_constants(real: Realization) -> BracketTable:
     """Re-derive the bracket table of a realization by exact linear solving."""
     labels = real.labels()
@@ -443,21 +423,22 @@ def extract_structure_constants(real: Realization) -> BracketTable:
     try:
         solver = ColumnSolver(columns)
     except DependentColumns as exc:
-        raise DependentBasis(str(exc)) from exc
+        raise DependentBasis(f"the basis operators are linearly dependent ({exc})") from exc
     constants = {}
     n = len(ops)
     for i in range(n):
         for j in range(i, n):
             bracket = ops[i].bracket(ops[j])
-            coeffs, residual = solver.solve(bracket.coordinate_vector())
+            target = bracket.coordinate_vector()
+            coeffs, residual = solver.solve(target)
             if residual:
-                _diagnose_failure(
-                    (labels[i], labels[j]), columns, bracket.coordinate_vector(),
-                    _residual_str(residual),
-                )
-            entry = [(k, Scalar.constant(c)) for k, c in enumerate(coeffs) if c]
-            if entry:
-                constants[(i, j)] = entry
+                from .io import operator_expr_text  # io imports this module
+                for k, c in enumerate(coeffs):  # bracket - sum c_k op_k, whatever their degrees
+                    if c:
+                        bracket -= ops[k].scale(Scalar.constant(c)).with_degree(bracket.degree)
+                _diagnose_failure((labels[i], labels[j]), columns, target,
+                                  operator_expr_text(bracket))
+            constants[(i, j)] = [(k, Scalar.constant(c)) for k, c in enumerate(coeffs) if c]
     return BracketTable(real.basis, constants)
 
 

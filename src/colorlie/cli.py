@@ -1,7 +1,7 @@
 """Command-line interface: verify, extract, jacobi, weights, split, export.
 
-Exit codes: 0 all checks passed, 1 discrepancies found (report on
-stdout), 2 usage or parse errors (diagnostics on stderr).  The
+Exit codes: 0 all checks passed, 1 discrepancies or failures found
+(report on stdout), 2 usage or parse errors (diagnostics on stderr).  The
 ``--jobs N`` flag (or the COLORLIE_JOBS environment variable) runs the
 bracket-pair and Jacobi-triple sweeps in a worker pool; output is
 byte-identical for every worker count because chunks are merged in
@@ -17,10 +17,11 @@ import sys
 from typing import Sequence, Union
 
 from . import corpus
-from .algebra import (BracketTable, DiscrepancyReport, NotEigenvector, Realization,
-                      check_jacobi, extract_structure_constants, triangular_split,
-                      verify_realization, weights)
-from .io import ParseError, emit_definition, emit_report, emit_table, parse_definition
+from .algebra import (AlgebraError, BracketTable, DiscrepancyReport, NotEigenvector,
+                      Realization, check_jacobi, extract_structure_constants,
+                      triangular_split, verify_realization, weights)
+from .io import (ParseError, emit_definition, emit_extract_failure, emit_report, emit_table,
+                 parse_definition)
 
 _FORMATS = ("text", "json", "latex")
 
@@ -220,7 +221,12 @@ def _cmd_extract(args) -> int:
         real, _ = corpus.realization(args.algebra, args.realization)
     else:
         raise CliError("extract needs --algebra and --realization, or --file")
-    table = extract_structure_constants(real)
+    try:
+        table = extract_structure_constants(real)
+    except AlgebraError as exc:  # closure failure, dependent basis, lam dependence
+        subject = args.file or f"{args.algebra} {args.realization}"
+        sys.stdout.write(emit_extract_failure(subject, exc, args.format))
+        return 1
     sys.stdout.write(emit_table(table, args.format))
     return 0
 

@@ -37,7 +37,7 @@ from typing import Mapping, Sequence, Union
 from .grading import Degree, koszul_sign
 from .scalars import GaussianRational, Scalar, as_scalar
 from . import matop, vecfield, weyl
-from .algebra import BracketTable, DiscrepancyReport, Realization
+from .algebra import AlgebraError, BracketTable, DiscrepancyReport, Realization
 from .grassmann import VarContext
 from .matop import MatDiffOp
 from .vecfield import GradedDiffOp
@@ -1121,4 +1121,18 @@ def emit_report(report: DiscrepancyReport, fmt: str = "text") -> str:
                        % (labels, item.expected, item.computed, item.residual))
         out.append(r"\end{itemize}")
         return "\n".join(out) + "\n"
+    raise ValueError(f"unknown format {fmt!r} (expected text, json, or latex)")
+
+
+def emit_extract_failure(subject: str, exc: AlgebraError, fmt: str = "text") -> str:
+    """Render why extraction stopped: the failing pair, if any, and the reason."""
+    if fmt == "text":
+        return f"{subject}: extraction failed\n  {exc}\n"
+    if fmt == "json":
+        payload = {"subject": subject, "ok": False, "error": type(exc).__name__,
+                   "pair": list(getattr(exc, "pair", [])) or None,
+                   "residual": getattr(exc, "residual", None), "message": str(exc)}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "latex":
+        return f"% {subject}: extraction failed\n\\begin{{verbatim}}\n{exc}\n\\end{{verbatim}}\n"
     raise ValueError(f"unknown format {fmt!r} (expected text, json, or latex)")

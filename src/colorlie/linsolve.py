@@ -1,12 +1,16 @@
 """Exact sparse linear solving over the Gaussian rationals.
 
-Used to express a computed bracket as a combination of basis operators.
-Columns are sparse coordinate vectors (dict: coordinate key -> value).
-The solver factors the column set once (verifying linear independence
-and finding a set of pivot coordinates), then answers many right-hand
-sides by solving the small pivot system exactly and verifying the
-candidate on every coordinate -- the verification residual doubles as
-the discrepancy certificate when no solution exists.
+Used to express a bracket as a combination of basis operators, or an
+old-basis combination in a new basis.  Columns are sparse coordinate
+vectors (dict: coordinate key -> value).  Factoring eliminates the
+coordinate rows, keys in repr order, as sparse dicts against the pivot
+rows found so far, touching only nonzero entries; a row with anything
+left becomes a pivot row led by its first nonzero column, kept with the
+multipliers that reduced it.  No inverse is formed.  A solve applies the
+multipliers to the target's pivot coordinates and back-substitutes
+against the pivot rows, at a cost that follows their nonzeros, then
+verifies the candidate on every coordinate -- the verification residual
+doubles as the discrepancy certificate when no solution exists.
 """
 
 from __future__ import annotations
@@ -22,23 +26,14 @@ class DependentColumns(ValueError):
     """The proposed basis columns are linearly dependent."""
 
 
-def _invert(matrix: list[list[GaussianRational]]) -> list[list[GaussianRational]]:
-    """Exact inverse of a small square matrix by Gauss-Jordan elimination."""
-    n = len(matrix)
-    aug = [row[:] + [GaussianRational(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise DependentColumns("pivot matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = GaussianRational(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _axpy(row: dict, factor: GaussianRational, other: Mapping) -> None:
+    """row -= factor * other, in place, dropping entries that cancel."""
+    for key, value in other.items():
+        acc = row.get(key, QI_ZERO) - factor * value
+        if acc:
+            row[key] = acc
+        else:
+            row.pop(key, None)
 
 
 class ColumnSolver:
@@ -47,33 +42,31 @@ class ColumnSolver:
     def __init__(self, columns: Sequence[Vector]):
         self.columns = [dict(col) for col in columns]
         n = len(self.columns)
-        # Gaussian elimination on the (keys x n) matrix to locate n pivot keys.
-        keys = sorted({k for col in self.columns for k in col}, key=repr)
-        rows = {k: [col.get(k, QI_ZERO) for col in self.columns] for k in keys}
-        pivot_keys: list[Hashable] = []
-        reduced: list[tuple[int, list[GaussianRational]]] = []  # (pivot col, row)
-        used: set[int] = set()
-        for key in keys:
-            row = rows[key][:]
-            for col_index, prow in reduced:
-                if row[col_index]:
-                    factor = row[col_index] / prow[col_index]
-                    row = [a - factor * b for a, b in zip(row, prow)]
-            lead = next((j for j in range(n) if row[j]), None)
-            if lead is None or lead in used:
+        rows: dict[Hashable, dict[int, GaussianRational]] = {}
+        for j, col in enumerate(self.columns):
+            for key, value in col.items():
+                if value:
+                    rows.setdefault(key, {})[j] = value
+        self.pivot_keys: list[Hashable] = []
+        self._pivots: list[tuple] = []  # (lead column, row, {earlier pivot: multiplier})
+        for key in sorted(rows, key=repr):
+            row = dict(rows[key])
+            multipliers = {}
+            for index, (lead, prow, _) in enumerate(self._pivots):
+                if lead in row:
+                    factor = row[lead] / prow[lead]
+                    multipliers[index] = factor
+                    _axpy(row, factor, prow)
+            if not row:
                 continue
-            used.add(lead)
-            reduced.append((lead, row))
-            pivot_keys.append(key)
-            if len(pivot_keys) == n:
+            self._pivots.append((min(row), row, multipliers))
+            self.pivot_keys.append(key)
+            if len(self.pivot_keys) == n:
                 break
-        if len(pivot_keys) < n:
+        if len(self.pivot_keys) < n:
             raise DependentColumns(
-                f"only {len(pivot_keys)} independent coordinates for {n} columns"
+                f"only {len(self.pivot_keys)} independent coordinates for {n} columns"
             )
-        self.pivot_keys = pivot_keys
-        pivot_matrix = [[col.get(k, QI_ZERO) for col in self.columns] for k in pivot_keys]
-        self._pivot_inverse = _invert(pivot_matrix)
 
     def solve(self, target: Vector):
         """Return (coefficients, residual). residual == {} iff the solve is exact.
@@ -82,20 +75,22 @@ class ColumnSolver:
         coordinates; residual maps coordinate keys to target - combination
         wherever they differ.
         """
-        target = dict(target)
-        rhs = [target.get(k, QI_ZERO) for k in self.pivot_keys]
-        coeffs = [
-            sum((row[i] * rhs[i] for i in range(len(rhs))), QI_ZERO)
-            for row in self._pivot_inverse
-        ]
-        residual = dict(target)
+        reduced: list[GaussianRational] = []
+        for key, (_, _, multipliers) in zip(self.pivot_keys, self._pivots):
+            value = target.get(key, QI_ZERO)
+            for index, factor in multipliers.items():
+                if reduced[index]:
+                    value = value - factor * reduced[index]
+            reduced.append(value)
+        coeffs = [QI_ZERO] * len(self.columns)
+        for (lead, prow, _), value in zip(reversed(self._pivots), reversed(reduced)):
+            for j, entry in prow.items():
+                if coeffs[j]:  # still zero at the lead itself
+                    value = value - entry * coeffs[j]
+            if value:
+                coeffs[lead] = value / prow[lead]
+        residual = {key: value for key, value in target.items() if value}
         for c, col in zip(coeffs, self.columns):
-            if not c:
-                continue
-            for key, value in col.items():
-                acc = residual.get(key, QI_ZERO) - c * value
-                if acc:
-                    residual[key] = acc
-                else:
-                    residual.pop(key, None)
+            if c:
+                _axpy(residual, c, col)
         return coeffs, residual

@@ -67,6 +67,9 @@ class GradedDiffOp:
         object.__setattr__(self, "degree", state[1])
         object.__setattr__(self, "terms", state[2])
 
+    def with_degree(self, degree: Degree) -> GradedDiffOp:
+        return GradedDiffOp(self.ctx, degree, self.terms)
+
     def _check_ctx(self, other: GradedDiffOp):
         if self.ctx != other.ctx:
             raise ValueError("operators belong to different variable contexts")

@@ -25,7 +25,7 @@ from colorlie.algebra import (
     weights,
 )
 from colorlie.matop import scalar_op
-from colorlie.weyl import DT, DX, DiffOp
+from colorlie.weyl import DT, DX, T, DiffOp
 
 
 def sl2_table(hf_coeff=-2, ef_coeff=1):
@@ -106,6 +106,29 @@ def test_extract_detects_closure_failure():
     with pytest.raises(ClosureFailure) as info:
         extract_structure_constants(real)
     assert info.value.pair == ("p", "p")
+    assert info.value.residual == " + ".join(f"e({k},{k})*(2*dx^2)" for k in range(1, 5))
+
+
+def test_extract_does_not_block_by_declared_degree():
+    # Degrees of matrix operators are declared, not inferred, so the solve
+    # spans every column: equal supports are dependent whatever their degrees,
+    h = scalar_op(DT)
+    with pytest.raises(DependentBasis):
+        extract_structure_constants(Realization(
+            [("a", D00), ("b", D01)], {"a": h, "b": h.scale(2).with_degree(D01)}))
+    # an exact solution through a column of another degree is refused by the table,
+    p = scalar_op(DX).with_degree(D11)
+    real = Realization([("a", D00), ("b", D00), ("p", D11)],
+                       {"a": scalar_op(T * DX), "b": scalar_op(DT), "p": p})
+    with pytest.raises(ValueError, match="targets p of degree"):
+        extract_structure_constants(real)
+    # and a failing candidate through such a column still yields a residual.
+    real = Realization([("a", D00), ("b", D00), ("p", D11)],
+                       {"a": scalar_op(T * DX + T * DT * DT), "b": scalar_op(DT), "p": p})
+    with pytest.raises(ClosureFailure) as info:
+        extract_structure_constants(real)
+    assert info.value.pair == ("a", "b")
+    assert info.value.residual == " + ".join(f"e({k},{k})*(-dt^2)" for k in range(1, 5))
 
 
 def test_extract_detects_lam_dependence():

@@ -142,6 +142,34 @@ def test_extract_from_file(capsys, tmp_path):
     assert out == "[A,B] = -A\n"
 
 
+def _dmodule(operators: str) -> str:
+    return ("algebra demo\nkind d-module\n\nbasis:\n  A (0,0)\n  B (0,0)\n\n"
+            "operators:\n" + operators)
+
+
+@pytest.mark.parametrize("operators, error, reason", [
+    ("  A = t^2*dt\n  B = dt\n", "ClosureFailure",
+     "bracket of A and B leaves the basis span; residual "
+     + " + ".join(f"e({k},{k})*(-2*t*dt)" for k in range(1, 5))),
+    ("  A = dt\n  B = 2*dt\n", "DependentBasis",
+     "the basis operators are linearly dependent (only 1 independent coordinates for 2 columns)"),
+    ("  A = dt\n  B = lam*t*dt\n", "LambdaDependence",
+     "bracket of A and B needs lam-dependent coefficients"),
+])
+def test_extract_failures_are_reported(capsys, tmp_path, operators, error, reason):
+    real_path = tmp_path / "real.txt"
+    real_path.write_text(_dmodule(operators))
+    code, out, err = run(capsys, "extract", "--file", str(real_path))
+    assert code == 1 and err == ""
+    assert out == f"{real_path}: extraction failed\n  {reason}\n"
+    code, out, err = run(capsys, "extract", "--file", str(real_path), "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and data["ok"] is False and data["error"] == error
+    assert data["pair"] == (None if error == "DependentBasis" else ["A", "B"])
+    code, out, err = run(capsys, "extract", "--file", str(real_path), "--format", "latex")
+    assert code == 1 and reason in out and "Traceback" not in out + err
+
+
 def test_extract_usage_error(capsys):
     code, out, err = run(capsys, "extract")
     assert code == 2 and "extract needs" in err
