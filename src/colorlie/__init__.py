@@ -14,6 +14,7 @@ from .algebra import (
     BracketTable,
     ClosureFailure,
     DegreeMixing,
+    DegreeViolation,
     DependentBasis,
     Discrepancy,
     DiscrepancyReport,
@@ -39,7 +40,7 @@ __all__ = [
     "ZERO", "ONE", "I", "LAM", "HALF",
     "BracketTable", "Realization", "Discrepancy", "DiscrepancyReport",
     "AlgebraError", "ClosureFailure", "DependentBasis", "LambdaDependence",
-    "BasisMismatch", "SingularTransform", "DegreeMixing", "NotEigenvector",
+    "BasisMismatch", "SingularTransform", "DegreeMixing", "DegreeViolation", "NotEigenvector",
     "check_jacobi", "extract_structure_constants", "compare_tables",
     "change_basis", "weights", "triangular_split", "verify_realization",
     "derived_generators",

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .grading import Degree, koszul_sign
+from .lincomb import add_into, signed_sum, term_text
 from .linsolve import ColumnSolver, DependentColumns
 from .scalars import GaussianRational, Scalar, as_scalar
 
@@ -52,6 +53,17 @@ class LambdaDependence(AlgebraError):
         self.pair = pair
 
 
+class DegreeViolation(AlgebraError, ValueError):
+    """A bracket solves onto a basis element outside the sum of its operand degrees.
+
+    Also a ValueError: BracketTable refuses such an entry with one."""
+
+    def __init__(self, pair: tuple[str, str], degree: Degree, target: BasisItem):
+        super().__init__(f"bracket of {pair[0]} and {pair[1]} has degree {degree} but targets "
+                         f"{target[0]} of degree {target[1]}")
+        self.pair = pair
+
+
 class BasisMismatch(AlgebraError):
     """Two tables disagree on labels or degrees."""
 
@@ -76,14 +88,7 @@ class NotEigenvector(AlgebraError):
 def _normalize_entry(entry) -> tuple[tuple[int, Scalar], ...]:
     acc: dict[int, Scalar] = {}
     for target, coeff in entry:
-        coeff = as_scalar(coeff)
-        if not coeff:
-            continue
-        total = acc.get(target, Scalar()) + coeff
-        if total:
-            acc[target] = total
-        else:
-            acc.pop(target, None)
+        add_into(acc, target, as_scalar(coeff))
     return tuple(sorted(acc.items()))
 
 
@@ -145,25 +150,7 @@ class BracketTable:
 
     def combo_str(self, entry) -> str:
         """Human form of a combination: '2*H-R', '0'."""
-        parts = []
-        for target, coeff in entry:
-            label = self.basis[target][0]
-            text = str(coeff)
-            if text == "1":
-                piece = label
-            elif text == "-1":
-                piece = "-" + label
-            elif ("+" in text[1:]) or ("-" in text[1:]):
-                piece = f"({text})*{label}"
-            else:
-                piece = f"{text}*{label}"
-            parts.append(piece)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for part in parts[1:]:
-            out += part if part.startswith("-") else "+" + part
-        return out
+        return signed_sum(term_text(str(coeff), [self.basis[target][0]]) for target, coeff in entry)
 
     def sector(self, da: Degree, db: Degree):
         """Stored entries whose operand degrees form the unordered pair {da, db}."""
@@ -339,7 +326,7 @@ def change_basis(table: BracketTable, new_basis: Sequence[BasisItem],
                     for target, coeff in table.bracket(k, l):
                         weight = cik * cjl * coeff.constant_value()
                         for m, inv in inverse[target].items():
-                            acc[m] = acc.get(m, GaussianRational()) + weight * inv
+                            add_into(acc, m, weight * inv)
             constants[(i, j)] = [(m, Scalar.constant(v)) for m, v in acc.items()]
     return BracketTable(new_basis, constants)
 
@@ -363,11 +350,7 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
         def accumulate(outer: int, inner_pair: tuple[int, int], sign: int):
             for mid, coeff in table.bracket(*inner_pair):
                 for target, coeff2 in table.bracket(outer, mid):
-                    total = acc.get(target, Scalar()) + coeff * coeff2 * sign
-                    if total:
-                        acc[target] = total
-                    else:
-                        acc.pop(target, None)
+                    add_into(acc, target, coeff * coeff2 * sign)
 
         accumulate(i, (j, k), koszul_sign(a, c))
         accumulate(j, (k, i), koszul_sign(b, a))
@@ -383,10 +366,9 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
 def _diagnose_failure(pair, columns, target, base_solver_residual):
     """Distinguish lam-dependent coefficients from genuine closure failure."""
     def eval_vector(vec, value: int):
-        out: dict = {}  # entries that cancel to zero are fine: the solver skips them
+        out: dict = {}
         for key, gauss in vec.items():
-            scaled = gauss * GaussianRational(Fraction(value) ** key[-1])
-            out[key[:-1]] = out.get(key[:-1], GaussianRational()) + scaled
+            add_into(out, key[:-1], gauss * GaussianRational(Fraction(value) ** key[-1]))
         return out
 
     degree_bound = max(
@@ -438,6 +420,10 @@ def extract_structure_constants(real: Realization) -> BracketTable:
                         bracket -= ops[k].scale(Scalar.constant(c)).with_degree(bracket.degree)
                 _diagnose_failure((labels[i], labels[j]), columns, target,
                                   operator_expr_text(bracket))
+            degree = real.basis[i][1] + real.basis[j][1]
+            for k, c in enumerate(coeffs):
+                if c and real.basis[k][1] != degree:
+                    raise DegreeViolation((labels[i], labels[j]), degree, real.basis[k])
             constants[(i, j)] = [(k, Scalar.constant(c)) for k, c in enumerate(coeffs) if c]
     return BracketTable(real.basis, constants)
 
@@ -457,15 +443,9 @@ def compare_tables(expected: BracketTable, computed: BracketTable) -> Discrepanc
             right = computed.constants.get((i, j), ())
             if left == right:
                 continue
-            delta: dict[int, Scalar] = {}
-            for target, coeff in left:
-                delta[target] = delta.get(target, Scalar()) + coeff
+            delta: dict[int, Scalar] = dict(left)
             for target, coeff in right:
-                total = delta.get(target, Scalar()) - coeff
-                if total:
-                    delta[target] = total
-                else:
-                    delta.pop(target, None)
+                add_into(delta, target, -coeff)
             labels = (expected.basis[i][0], expected.basis[j][0])
             report.entries.append(Discrepancy(
                 "table", labels,

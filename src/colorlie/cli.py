@@ -223,7 +223,7 @@ def _cmd_extract(args) -> int:
         raise CliError("extract needs --algebra and --realization, or --file")
     try:
         table = extract_structure_constants(real)
-    except AlgebraError as exc:  # closure failure, dependent basis, lam dependence
+    except AlgebraError as exc:  # no closure, dependent basis, lam or degree trouble
         subject = args.file or f"{args.algebra} {args.realization}"
         sys.stdout.write(emit_extract_failure(subject, exc, args.format))
         return 1

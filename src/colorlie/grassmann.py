@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .grading import D00, Degree, koszul_sign
-from .scalars import GaussianRational, Scalar, as_scalar
+from .grading import D00, Degree
+from .lincomb import LinComb, add_into, setslot, signed_sum, term_text
+from .scalars import Scalar, as_scalar
 
 # A normally ordered monomial: ((var_index, exponent), ...) with indices
 # strictly increasing and exponents >= 1.
@@ -150,7 +151,7 @@ def normal_order(ctx: VarContext, word: Sequence[Union[GradedVariable, str]]):
     return sign, mono
 
 
-class GradedPoly:
+class GradedPoly(LinComb):
     """A polynomial over a VarContext with Scalar coefficients."""
 
     __slots__ = ("ctx", "terms")
@@ -161,70 +162,30 @@ class GradedPoly:
             coeff = as_scalar(coeff)
             if coeff:
                 clean[tuple(mono)] = coeff
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("GradedPoly is immutable")
-
-    def __getstate__(self):
-        return self.ctx, self.terms
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "ctx", state[0])
-        object.__setattr__(self, "terms", state[1])
-
-    def _check_ctx(self, other: GradedPoly):
-        if self.ctx != other.ctx:
-            raise ValueError("polynomials belong to different variable contexts")
+        setslot(self, "ctx", ctx)
+        setslot(self, "terms", clean)
 
     # -- ring structure ------------------------------------------------------
-    def __add__(self, other: GradedPoly) -> GradedPoly:
-        self._check_ctx(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, Scalar()) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+    def _like(self, terms) -> GradedPoly:
         return GradedPoly(self.ctx, terms)
 
-    def __sub__(self, other: GradedPoly) -> GradedPoly:
-        return self + (-other)
-
-    def __neg__(self) -> GradedPoly:
-        return GradedPoly(self.ctx, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, factor) -> GradedPoly:
-        factor = as_scalar(factor)
-        return GradedPoly(self.ctx, {m: c * factor for m, c in self.terms.items()})
+    def _check(self, other: GradedPoly):
+        if self.ctx != other.ctx:
+            raise ValueError("polynomials belong to different variable contexts")
 
     def __mul__(self, other) -> GradedPoly:
         if not isinstance(other, GradedPoly):
             return self.scale(other)
-        self._check_ctx(other)
+        self._check(other)
         terms: dict[Monomial, Scalar] = {}
         for lm, lc in self.terms.items():
             for rm, rc in other.terms.items():
                 sign, mono = mono_mul(self.ctx, lm, rm)
-                if mono is None:
-                    continue
-                acc = terms.get(mono, Scalar()) + lc * rc * sign
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
+                if mono is not None:
+                    add_into(terms, mono, lc * rc * sign)
         return GradedPoly(self.ctx, terms)
 
-    def __rmul__(self, other) -> GradedPoly:
-        return self.scale(other)
-
     # -- queries -----------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def homogeneous_degree(self) -> Union[Degree, None]:
         """The common degree of all terms; None for the zero polynomial."""
         degrees = {self.ctx.monomial_degree(m) for m in self.terms}
@@ -234,41 +195,13 @@ class GradedPoly:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(map(str, degrees))}")
         return degrees.pop()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         return f"GradedPoly({ {self.ctx.monomial_str(m): str(c) for m, c in self.terms.items()} })"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            text = str(coeff)
-            need_parens = ("+" in text[1:]) or ("-" in text[1:])
-            if mono:
-                if text == "1":
-                    text = ""
-                elif text == "-1":
-                    text = "-"
-                elif need_parens:
-                    text = f"({text})*"
-                else:
-                    text += "*"
-                parts.append(text + self.ctx.monomial_str(mono))
-            else:
-                parts.append(f"({text})" if need_parens else text)
-        out = parts[0]
-        for part in parts[1:]:
-            out += part if part.startswith("-") else "+" + part
-        return out
+        return signed_sum(
+            term_text(str(self.terms[mono]), [self.ctx.monomial_str(mono)] if mono else [])
+            for mono in sorted(self.terms))
 
 
 def derive_monomial(ctx: VarContext, var: GradedVariable, mono: Monomial):
@@ -298,11 +231,7 @@ def graded_derivative(var: Union[GradedVariable, str], poly: GradedPoly) -> Grad
         if hit is None:
             continue
         factor, rest = hit
-        acc = terms.get(rest, Scalar()) + coeff * factor
-        if acc:
-            terms[rest] = acc
-        else:
-            terms.pop(rest, None)
+        add_into(terms, rest, coeff * factor)
     return GradedPoly(ctx, terms)
 
 

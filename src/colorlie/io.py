@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .grading import Degree, koszul_sign
+from .lincomb import add_into, signed_sum, term_text
 from .scalars import GaussianRational, Scalar, as_scalar
 from . import matop, vecfield, weyl
 from .algebra import AlgebraError, BracketTable, DiscrepancyReport, Realization
@@ -371,27 +372,23 @@ def _promote_scalar(scalar: Scalar, template_kind: str, env: _Env):
 def _combine_add(left, right, env: _Env, pos):
     lk, lv = left
     rk, rv = right
-    if lk == rk:
-        if lk == "c":
-            merged = dict(lv)
-            for label, coeff in rv.items():
-                total = merged.get(label, Scalar()) + coeff
-                if total:
-                    merged[label] = total
-                else:
-                    merged.pop(label, None)
-            return ("c", merged)
-        try:
-            return (lk, lv + rv)
-        except ValueError as exc:
-            raise ParseError(str(exc), *pos) from None
     if lk == "s" and rk in ("m", "g"):
-        return (rk, _promote_scalar(lv, rk, env) + rv)
-    if rk == "s" and lk in ("m", "g"):
-        return (lk, lv + _promote_scalar(rv, lk, env))
-    if "c" in (lk, rk):
-        raise ParseError("cannot add a bare scalar or operator to basis labels", *pos)
-    raise ParseError(_MIXING, *pos)
+        lk, lv = rk, _promote_scalar(lv, rk, env)
+    elif rk == "s" and lk in ("m", "g"):
+        rk, rv = lk, _promote_scalar(rv, lk, env)
+    if lk != rk:
+        if "c" in (lk, rk):
+            raise ParseError("cannot add a bare scalar or operator to basis labels", *pos)
+        raise ParseError(_MIXING, *pos)
+    if lk == "c":
+        merged = dict(lv)
+        for label, coeff in rv.items():
+            add_into(merged, label, coeff)
+        return ("c", merged)
+    try:  # operators of different degrees or variable contexts
+        return (lk, lv + rv)
+    except ValueError as exc:
+        raise ParseError(str(exc), *pos) from None
 
 
 def _combine_mul(left, right, pos):
@@ -462,10 +459,7 @@ def parse_combination(text: str, labels: Sequence[str], line: int = 1, col: int 
 
 def scalar_expr_text(scalar: Scalar) -> str:
     """A scalar as expression text, parenthesized when it is a sum."""
-    text = str(scalar)
-    if ("+" in text[1:]) or ("-" in text[1:]):
-        return f"({text})"
-    return text
+    return term_text(str(scalar), [])
 
 
 def mat_expr_text(op: MatDiffOp) -> str:
@@ -882,27 +876,7 @@ def emit_definition(entry: CorpusEntry) -> str:
 
 
 def _combo_text(pairs) -> str:
-    parts = []
-    for label, coeff in pairs:
-        coeff = as_scalar(coeff)
-        if not coeff:
-            continue
-        text = str(coeff)
-        if text == "1":
-            piece = label
-        elif text == "-1":
-            piece = "-" + label
-        elif ("+" in text[1:]) or ("-" in text[1:]):
-            piece = f"({text})*{label}"
-        else:
-            piece = f"{text}*{label}"
-        parts.append(piece)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        out += part if part.startswith("-") else "+" + part
-    return out
+    return signed_sum(term_text(str(as_scalar(coeff)), [label]) for label, coeff in pairs if coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -993,62 +967,23 @@ def _rational_latex(value: Fraction) -> str:
 def _gaussian_latex(value: GaussianRational) -> str:
     if not value.im:
         return _rational_latex(value.re)
-    if not value.re:
-        if value.im == 1:
-            return "i"
-        if value.im == -1:
-            return "-i"
-        return _rational_latex(value.im) + "i"
-    im = _gaussian_latex(GaussianRational(0, value.im))
-    if not im.startswith("-"):
-        im = "+" + im
-    return _rational_latex(value.re) + im
+    imag = "i" if value.im == 1 else "-i" if value.im == -1 else _rational_latex(value.im) + "i"
+    return signed_sum([_rational_latex(value.re), imag]) if value.re else imag
 
 
 def scalar_to_latex(scalar: Scalar) -> str:
-    if not scalar:
-        return "0"
+    """Constants print raw; each lam power is a term with its coefficient."""
     parts = []
     for exp, value in scalar.items():
         coeff = _gaussian_latex(value)
-        if exp == 0:
-            parts.append(coeff)
-            continue
         power = r"\lambda" if exp == 1 else r"\lambda^{%d}" % exp
-        if coeff == "1":
-            parts.append(power)
-        elif coeff == "-1":
-            parts.append("-" + power)
-        elif ("+" in coeff[1:]) or ("-" in coeff[1:]):
-            parts.append(f"({coeff}){power}")
-        else:
-            parts.append(coeff + power)
-    out = parts[0]
-    for part in parts[1:]:
-        out += part if part.startswith("-") else "+" + part
-    return out
+        parts.append(term_text(coeff, [power], "") if exp else coeff)
+    return signed_sum(parts)
 
 
 def _combo_latex(table: BracketTable, entry) -> str:
-    if not entry:
-        return "0"
-    parts = []
-    for target, coeff in entry:
-        label = label_to_latex(table.basis[target][0])
-        text = scalar_to_latex(coeff)
-        if text == "1":
-            piece = label
-        elif text == "-1":
-            piece = "-" + label
-        elif ("+" in text[1:]) or ("-" in text[1:]):
-            piece = f"({text})" + label
-        else:
-            piece = text + label
-        parts.append(piece)
-    out = parts[0]
-    for part in parts[1:]:
-        out += part if part.startswith("-") else "+" + part
-    return out
+    return signed_sum(term_text(scalar_to_latex(c), [label_to_latex(table.basis[t][0])], "")
+                      for t, c in entry)
 
 
 def table_to_latex(table: BracketTable) -> str:

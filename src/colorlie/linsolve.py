@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping, Sequence
 
+from .lincomb import add_into
 from .scalars import GaussianRational, QI_ZERO
 
 Vector = Mapping[Hashable, GaussianRational]
@@ -28,12 +29,9 @@ class DependentColumns(ValueError):
 
 def _axpy(row: dict, factor: GaussianRational, other: Mapping) -> None:
     """row -= factor * other, in place, dropping entries that cancel."""
+    factor = -factor
     for key, value in other.items():
-        acc = row.get(key, QI_ZERO) - factor * value
-        if acc:
-            row[key] = acc
-        else:
-            row.pop(key, None)
+        add_into(row, key, factor * value)
 
 
 class ColumnSolver:

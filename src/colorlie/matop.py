@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .grading import D00, Degree, koszul_sign
-from .scalars import GaussianRational, Scalar, as_scalar
-from . import weyl
+from .grading import D00, Degree
+from .scalars import GaussianRational, as_scalar
+from . import lincomb, weyl
+from .lincomb import Frozen, setslot
 from .weyl import DiffOp
 
 
-class MatDiffOp:
+class MatDiffOp(Frozen):
     """A 4x4 matrix with DiffOp entries and a declared degree."""
 
     __slots__ = ("entries", "degree")
@@ -26,18 +27,8 @@ class MatDiffOp:
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != 4 or any(len(row) != 4 for row in rows):
             raise ValueError("MatDiffOp needs a 4x4 grid of entries")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "degree", degree)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("MatDiffOp is immutable")
-
-    def __getstate__(self):
-        return self.entries, self.degree
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "entries", state[0])
-        object.__setattr__(self, "degree", state[1])
+        setslot(self, "entries", rows)
+        setslot(self, "degree", degree)
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -106,14 +97,6 @@ class MatDiffOp:
                     coords[(i, j, mono, exp)] = value
         return coords
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatDiffOp):
-            return NotImplemented
-        return self.entries == other.entries and self.degree == other.degree
-
-    def __hash__(self):
-        return hash((self.entries, self.degree))
-
     def __repr__(self) -> str:
         cells = {f"({i+1},{j+1})": str(d) for i, j, d in self.nonzero_entries()}
         return f"MatDiffOp(degree={self.degree}, entries={cells})"
@@ -158,11 +141,8 @@ def compose(left: MatDiffOp, right: MatDiffOp) -> MatDiffOp:
 
 
 def graded_bracket(a: MatDiffOp, b: MatDiffOp) -> MatDiffOp:
-    """[[a, b]] = a.b - (-1)^<deg a, deg b> b.a, of degree deg a + deg b."""
-    sign = koszul_sign(a.degree, b.degree)
-    first = compose(a, b)
-    second = compose(b, a)
-    return first - second if sign == 1 else first + second
+    """[[a, b]] of matrix operators, by ``lincomb.graded_bracket``."""
+    return lincomb.graded_bracket(a, b, compose)
 
 
 def apply(op: MatDiffOp, column: Sequence[DiffOp]) -> list[DiffOp]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
+from .lincomb import Frozen, add_into, setslot, signed_sum
 RationalLike = Union[int, Fraction]
 
 
@@ -24,24 +25,14 @@ def _frac(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-class GaussianRational:
+class GaussianRational(Frozen):
     """An exact complex number ``re + im*i`` with rational parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("GaussianRational is immutable")
-
-    def __getstate__(self):
-        return self.re, self.im
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "re", state[0])
-        object.__setattr__(self, "im", state[1])
+        setslot(self, "re", _frac(re))
+        setslot(self, "im", _frac(im))
 
     # -- ring / field operations -------------------------------------------
     def __add__(self, other: GaussianRational) -> GaussianRational:
@@ -102,16 +93,8 @@ class GaussianRational:
     def __str__(self) -> str:
         if not self.im:
             return str(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re}{sign}{imag})"
+        imag = "i" if self.im == 1 else "-i" if self.im == -1 else f"{self.im}*i"
+        return f"({signed_sum([str(self.re), imag])})" if self.re else imag
 
 
 def _as_gauss(value) -> GaussianRational:
@@ -125,7 +108,7 @@ QI_ONE = GaussianRational(1)
 QI_I = GaussianRational(0, 1)
 
 
-class Scalar:
+class Scalar(Frozen):
     """A polynomial in ``lam`` with GaussianRational coefficients.
 
     Internally a map {lam-exponent: nonzero coefficient}.  Immutable.
@@ -141,16 +124,7 @@ class Scalar:
             coeff = _as_gauss(coeff)
             if coeff:
                 clean[exp] = coeff
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Scalar is immutable")
-
-    def __getstate__(self):
-        return self._terms
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "_terms", state)
+        setslot(self, "_terms", clean)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -207,11 +181,7 @@ class Scalar:
         other = as_scalar(other)
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
-            acc = terms.get(exp, QI_ZERO) + coeff
-            if acc:
-                terms[exp] = acc
-            else:
-                terms.pop(exp, None)
+            add_into(terms, exp, coeff)
         return Scalar(terms)
 
     __radd__ = __add__
@@ -227,12 +197,7 @@ class Scalar:
         terms: dict[int, GaussianRational] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                exp = e1 + e2
-                acc = terms.get(exp, QI_ZERO) + c1 * c2
-                if acc:
-                    terms[exp] = acc
-                else:
-                    terms.pop(exp, None)
+                add_into(terms, e1 + e2, c1 * c2)
         return Scalar(terms)
 
     __rmul__ = __mul__
@@ -257,8 +222,6 @@ class Scalar:
         return f"Scalar({self._terms!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for exp in sorted(self._terms, reverse=True):
             coeff = self._terms[exp]
@@ -272,10 +235,7 @@ class Scalar:
                     parts.append("-" + lam)
                 else:
                     parts.append(f"{coeff}*{lam}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += part if part.startswith("-") else "+" + part
-        return out
+        return signed_sum(parts)
 
 
 def as_scalar(value) -> Scalar:

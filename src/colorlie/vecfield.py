@@ -16,6 +16,8 @@ from __future__ import annotations
 from typing import Mapping, Tuple, Union
 
 from .grading import D00, Degree, koszul_sign
+from . import lincomb
+from .lincomb import LinComb, add_into, setslot, signed_sum, term_text
 from .scalars import GaussianRational, Scalar, as_scalar
 from .grassmann import (
     GradedPoly,
@@ -32,7 +34,7 @@ from .grassmann import (
 OpTerm = Tuple[Monomial, Monomial]
 
 
-class GradedDiffOp:
+class GradedDiffOp(LinComb):
     """A graded differential operator with declared degree."""
 
     __slots__ = ("ctx", "degree", "terms")
@@ -52,20 +54,9 @@ class GradedDiffOp:
                     f"{term_degree}, operator declares {degree}"
                 )
             clean[(mono, parts)] = coeff
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("GradedDiffOp is immutable")
-
-    def __getstate__(self):
-        return self.ctx, self.degree, self.terms
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "ctx", state[0])
-        object.__setattr__(self, "degree", state[1])
-        object.__setattr__(self, "terms", state[2])
+        setslot(self, "ctx", ctx)
+        setslot(self, "degree", degree)
+        setslot(self, "terms", clean)
 
     def with_degree(self, degree: Degree) -> GradedDiffOp:
         return GradedDiffOp(self.ctx, degree, self.terms)
@@ -75,41 +66,19 @@ class GradedDiffOp:
             raise ValueError("operators belong to different variable contexts")
 
     # -- linear structure --------------------------------------------------
-    def __add__(self, other: GradedDiffOp) -> GradedDiffOp:
+    def _like(self, terms) -> GradedDiffOp:
+        return GradedDiffOp(self.ctx, self.degree, terms)
+
+    def _check(self, other: GradedDiffOp):
         self._check_ctx(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        if self.degree != other.degree:
+        if self.terms and other.terms and self.degree != other.degree:
             raise ValueError(
                 f"cannot add operators of degrees {self.degree} and {other.degree}"
             )
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = terms.get(key, Scalar()) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return GradedDiffOp(self.ctx, self.degree, terms)
-
-    def __sub__(self, other: GradedDiffOp) -> GradedDiffOp:
-        return self + (-other)
-
-    def __neg__(self) -> GradedDiffOp:
-        return GradedDiffOp(self.ctx, self.degree, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, factor) -> GradedDiffOp:
-        factor = as_scalar(factor)
-        return GradedDiffOp(self.ctx, self.degree, {k: c * factor for k, c in self.terms.items()})
 
     def __mul__(self, other) -> GradedDiffOp:
         if isinstance(other, GradedDiffOp):
             return compose(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> GradedDiffOp:
         return self.scale(other)
 
     def lmul(self, poly: GradedPoly) -> GradedDiffOp:
@@ -123,16 +92,9 @@ class GradedDiffOp:
         return apply(self, poly)
 
     # -- queries ---------------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def order(self) -> int:
         """Highest total number of partials in any term."""
         return max((sum(e for _, e in parts) for _, parts in self.terms), default=0)
-
-    def lam_degree(self) -> int:
-        return max((c.lam_degree() for c in self.terms.values()), default=-1)
 
     def coordinate_vector(self) -> dict:
         """Exact coordinates: (monomial, partial word, lam exponent) -> GaussianRational."""
@@ -142,47 +104,18 @@ class GradedDiffOp:
                 coords[(mono, parts, exp)] = value
         return coords
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedDiffOp):
-            return NotImplemented
-        return self.ctx == other.ctx and self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx, self.degree, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         return f"GradedDiffOp(degree={self.degree}, terms={str(self)!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts_out = []
-        for mono, parts in sorted(self.terms):
-            coeff = self.terms[(mono, parts)]
-            factors = []
-            if mono:
-                factors.append(self.ctx.monomial_str(mono))
-            for index, exp in parts:
-                name = f"D({self.ctx.variables[index].name})"
-                factors.extend([name] * exp)
-            text = str(coeff)
-            need_parens = ("+" in text[1:]) or ("-" in text[1:])
-            if factors:
-                if text == "1":
-                    text = ""
-                elif text == "-1":
-                    text = "-"
-                elif need_parens:
-                    text = f"({text})*"
-                else:
-                    text += "*"
-                parts_out.append(text + "*".join(factors))
-            else:
-                parts_out.append(f"({text})" if need_parens else text)
-        out = parts_out[0]
-        for part in parts_out[1:]:
-            out += part if part.startswith("-") else "+" + part
-        return out
+        return signed_sum(term_text(str(self.terms[key]), self._factors(*key))
+                          for key in sorted(self.terms))
+
+    def _factors(self, mono: Monomial, parts: Monomial) -> list[str]:
+        factors = [self.ctx.monomial_str(mono)] if mono else []
+        for index, exp in parts:
+            factors += [f"D({self.ctx.variables[index].name})"] * exp
+        return factors
 
 
 def zero(ctx: VarContext, degree: Union[Degree, None] = None) -> GradedDiffOp:
@@ -207,23 +140,15 @@ def _partial_left(ctx: VarContext, index: int, terms: dict[OpTerm, Scalar]) -> d
     """Normal ordering of d_v . T for T a sum of (monomial, partials) terms."""
     var = ctx.variables[index]
     out: dict[OpTerm, Scalar] = {}
-
-    def put(key: OpTerm, coeff: Scalar):
-        acc = out.get(key, Scalar()) + coeff
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-
     for (mono, parts), coeff in terms.items():
         hit = derive_monomial(ctx, var, mono)
         if hit is not None:
             factor, rest = hit
-            put((rest, parts), coeff * factor)
+            add_into(out, (rest, parts), coeff * factor)
         sign = koszul_sign(var.degree, ctx.monomial_degree(mono))
         merge_sign, merged = mono_mul(ctx, ((index, 1),), parts)
         if merged is not None:
-            put((mono, merged), coeff * (sign * merge_sign))
+            add_into(out, (mono, merged), coeff * (sign * merge_sign))
     return out
 
 
@@ -244,23 +169,14 @@ def compose(left: GradedDiffOp, right: GradedDiffOp) -> GradedDiffOp:
                     break
             for (mono, parts), coeff in current.items():
                 sign, merged = mono_mul(ctx, lmono, mono)
-                if merged is None:
-                    continue
-                key = (merged, parts)
-                acc = result.get(key, Scalar()) + lcoeff * coeff * sign
-                if acc:
-                    result[key] = acc
-                else:
-                    result.pop(key, None)
+                if merged is not None:
+                    add_into(result, (merged, parts), lcoeff * coeff * sign)
     return GradedDiffOp(ctx, left.degree + right.degree, result)
 
 
 def graded_bracket(a: GradedDiffOp, b: GradedDiffOp) -> GradedDiffOp:
-    """[[a, b]] = a.b - (-1)^<deg a, deg b> b.a."""
-    sign = koszul_sign(a.degree, b.degree)
-    first = compose(a, b)
-    second = compose(b, a)
-    return first - second if sign == 1 else first + second
+    """[[a, b]] of graded operators, by ``lincomb.graded_bracket``."""
+    return lincomb.graded_bracket(a, b, compose)
 
 
 def apply(op: GradedDiffOp, poly: GradedPoly) -> GradedPoly:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from math import comb, perm
 from typing import Mapping, NamedTuple
 
+from .lincomb import LinComb, add_into, setslot, signed_sum, term_text
 from .scalars import Scalar, as_scalar
 
 
@@ -31,7 +32,7 @@ class WeylMonomial(NamedTuple):
 _UNIT = WeylMonomial(0, 0, 0, 0)
 
 
-class DiffOp:
+class DiffOp(LinComb):
     """A scalar differential operator in t, x (element of the Weyl algebra)."""
 
     __slots__ = ("terms",)
@@ -45,16 +46,7 @@ class DiffOp:
             coeff = as_scalar(coeff)
             if coeff:
                 clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("DiffOp is immutable")
-
-    def __getstate__(self):
-        return self.terms
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "terms", state)
+        setslot(self, "terms", clean)
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -66,25 +58,8 @@ class DiffOp:
         return cls({_UNIT: as_scalar(coeff)})
 
     # -- ring structure ----------------------------------------------------
-    def __add__(self, other: DiffOp) -> DiffOp:
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, Scalar()) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+    def _like(self, terms) -> DiffOp:
         return DiffOp(terms)
-
-    def __sub__(self, other: DiffOp) -> DiffOp:
-        return self + (-other)
-
-    def __neg__(self) -> DiffOp:
-        return DiffOp({m: -c for m, c in self.terms.items()})
-
-    def scale(self, factor) -> DiffOp:
-        factor = as_scalar(factor)
-        return DiffOp({m: c * factor for m, c in self.terms.items()})
 
     def __mul__(self, other) -> DiffOp:
         """Operator composition self . other; scalars scale instead."""
@@ -92,15 +67,7 @@ class DiffOp:
             return compose(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other) -> DiffOp:
-        # scalar * op; operator * operator goes through __mul__
-        return self.scale(other)
-
     # -- queries -------------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def order(self) -> int:
         """Highest total derivative order appearing (0 for a multiplication operator)."""
         return max((m.dt + m.dx for m in self.terms), default=0)
@@ -108,53 +75,18 @@ class DiffOp:
     def is_polynomial(self) -> bool:
         return all(m.dt == 0 and m.dx == 0 for m in self.terms)
 
-    def lam_degree(self) -> int:
-        return max((c.lam_degree() for c in self.terms.values()), default=-1)
-
     def apply(self, poly: DiffOp) -> DiffOp:
         return apply(self, poly)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"DiffOp({self.terms!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            factors = []
-            for sym, exp in zip(("t", "x", "dt", "dx"), mono):
-                if exp == 1:
-                    factors.append(sym)
-                elif exp > 1:
-                    factors.append(f"{sym}^{exp}")
-            coeff = self.terms[mono]
-            text = str(coeff)
-            need_parens = ("+" in text[1:]) or ("-" in text[1:])
-            if factors:
-                if text == "1":
-                    text = ""
-                elif text == "-1":
-                    text = "-"
-                elif need_parens:
-                    text = f"({text})*"
-                else:
-                    text += "*"
-                parts.append(text + "*".join(factors))
-            else:
-                parts.append(f"({text})" if need_parens else text)
-        out = parts[0]
-        for part in parts[1:]:
-            out += part if part.startswith("-") else "+" + part
-        return out
+        return signed_sum(
+            term_text(str(self.terms[mono]),
+                      [sym if exp == 1 else f"{sym}^{exp}"
+                       for sym, exp in zip(("t", "x", "dt", "dx"), mono) if exp])
+            for mono in sorted(self.terms))
 
 
 ZERO = DiffOp()
@@ -180,11 +112,7 @@ def compose(left: DiffOp, right: DiffOp) -> DiffOp:
             for ct, et, dt in _exchange(lm.dt, rm.pt):
                 for cx, ex, dx in _exchange(lm.dx, rm.px):
                     mono = WeylMonomial(lm.pt + et, lm.px + ex, dt + rm.dt, dx + rm.dx)
-                    acc = terms.get(mono, Scalar()) + coeff * (ct * cx)
-                    if acc:
-                        terms[mono] = acc
-                    else:
-                        terms.pop(mono, None)
+                    add_into(terms, mono, coeff * (ct * cx))
     return DiffOp(terms)
 
 
@@ -204,9 +132,5 @@ def apply(op: DiffOp, poly: DiffOp) -> DiffOp:
                 continue
             factor = perm(pm.pt, om.dt) * perm(pm.px, om.dx)
             mono = WeylMonomial(om.pt + pm.pt - om.dt, om.px + pm.px - om.dx, 0, 0)
-            acc = terms.get(mono, Scalar()) + oc * pc * factor
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+            add_into(terms, mono, oc * pc * factor)
     return DiffOp(terms)

@@ -142,9 +142,13 @@ def test_extract_from_file(capsys, tmp_path):
     assert out == "[A,B] = -A\n"
 
 
-def _dmodule(operators: str) -> str:
-    return ("algebra demo\nkind d-module\n\nbasis:\n  A (0,0)\n  B (0,0)\n\n"
-            "operators:\n" + operators)
+_AB = "  A (0,0)\n  B (0,0)\n"
+# failure cases that need more basis elements than A and B
+_BASES = {"DegreeViolation": _AB + "  P (1,1)\n"}
+
+
+def _dmodule(operators: str, basis: str = _AB) -> str:
+    return "algebra demo\nkind d-module\n\nbasis:\n" + basis + "\noperators:\n" + operators
 
 
 @pytest.mark.parametrize("operators, error, reason", [
@@ -155,10 +159,12 @@ def _dmodule(operators: str) -> str:
      "the basis operators are linearly dependent (only 1 independent coordinates for 2 columns)"),
     ("  A = dt\n  B = lam*t*dt\n", "LambdaDependence",
      "bracket of A and B needs lam-dependent coefficients"),
+    ("  A = t*dx\n  B = dt\n  P = dx\n", "DegreeViolation",
+     "bracket of A and B has degree (0,0) but targets P of degree (1,1)"),
 ])
 def test_extract_failures_are_reported(capsys, tmp_path, operators, error, reason):
     real_path = tmp_path / "real.txt"
-    real_path.write_text(_dmodule(operators))
+    real_path.write_text(_dmodule(operators, _BASES.get(error, _AB)))
     code, out, err = run(capsys, "extract", "--file", str(real_path))
     assert code == 1 and err == ""
     assert out == f"{real_path}: extraction failed\n  {reason}\n"
