@@ -135,9 +135,6 @@ class BracketTable:
     def labels(self) -> list[str]:
         return [l for l, _ in self.basis]
 
-    def degree_of(self, label: str) -> Degree:
-        return self.basis[self.index[label]][1]
-
     def bracket(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         """[[basis_i, basis_j]] as ((target index, coefficient), ...)."""
         if i <= j:

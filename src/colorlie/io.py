@@ -19,6 +19,11 @@ bracket-table entry, to a basis label.  Mixing matrix and graded atoms
 in one expression is an error.  Scalars promote when combined with an
 operator (`2 + H` means `2*identity + H`).
 
+Expressions are evaluated in one pass, with no syntax tree: each grammar
+rule returns its value as it parses.  A ParseError gives the line and
+column of the offending character in the file as written, indentation
+included.
+
 Definition files hold one algebra entry each: `algebra <id>` and
 `kind <kind>` head lines, then sections introduced by a header at
 column 0 (`basis:`, `operators:`, `derived:`, `table:`, `variables:`,
@@ -37,7 +42,7 @@ from typing import Mapping, Sequence, Union
 from .grading import Degree, koszul_sign
 from .lincomb import add_into, signed_sum, term_text
 from .scalars import GaussianRational, Scalar, as_scalar
-from . import matop, vecfield, weyl
+from . import matop, scalars, vecfield, weyl
 from .algebra import AlgebraError, BracketTable, DiscrepancyReport, Realization
 from .grassmann import VarContext
 from .matop import MatDiffOp
@@ -115,19 +120,87 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# expression parser (tokens -> AST)
+# expression parser (tokens -> values, in one pass)
 #
-# AST nodes are tuples tagged by their first element:
-#   ("num", Fraction, pos)      ("atom", name, pos)     name in RESERVED[:6]
-#   ("elem", i, j, pos)         ("partial", var, pos)   ("name", label, pos)
-#   ("neg", node)               ("add", a, b)  ("sub", a, b)  ("mul", a, b)
-#   ("pow", node, exponent, pos)
+# Each grammar rule returns the value it denotes: a Scalar, a MatDiffOp, a
+# GradedDiffOp or, inside a bracket-table entry, a {label: Scalar} dict.
+# Sums and products dispatch on those types, and errors are located at the
+# token in hand: the operator that fails, or the name that does not resolve.
+
+_MIXING = "expression mixes matrix tokens (t, x, dt, dx, e(i,j)) with graded-variable tokens"
+_CONSTANTS = {"i": scalars.I, "lam": scalars.LAM}
+_MATRIX_ATOMS = {name: matop.scalar_op(base)
+                 for name, base in (("t", weyl.T), ("x", weyl.X), ("dt", weyl.DT), ("dx", weyl.DX))}
+_OPERATORS = (MatDiffOp, GradedDiffOp)
+
+
+def _promote(scalar: Scalar, context: Union[VarContext, None]):
+    """A scalar as an operator: a multiplier over `context`, else scalar*identity."""
+    if context is None:
+        return matop.scalar_op(DiffOp.constant(scalar))
+    return vecfield.multiplier(context.scalar(scalar))
+
+
+def _neg(value):
+    if isinstance(value, dict):
+        return {label: -coeff for label, coeff in value.items()}
+    return -value
+
+
+def _add(left, right, at: Token):
+    if isinstance(left, Scalar) and isinstance(right, _OPERATORS):
+        left = _promote(left, getattr(right, "ctx", None))
+    elif isinstance(right, Scalar) and isinstance(left, _OPERATORS):
+        right = _promote(right, getattr(left, "ctx", None))
+    if type(left) is not type(right):
+        if isinstance(left, dict) or isinstance(right, dict):
+            raise ParseError("cannot add a bare scalar or operator to basis labels", at.line, at.col)
+        raise ParseError(_MIXING, at.line, at.col)
+    if isinstance(left, dict):
+        merged = dict(left)
+        for label, coeff in right.items():
+            add_into(merged, label, coeff)
+        return merged
+    try:  # operators of different degrees or variable contexts
+        return left + right
+    except ValueError as exc:
+        raise ParseError(str(exc), at.line, at.col) from None
+
+
+def _mul(left, right, at: Token):
+    if isinstance(left, Scalar) and not isinstance(right, Scalar):
+        left, right = right, left  # a scalar factor commutes with everything
+    if isinstance(right, Scalar):
+        if isinstance(left, dict):
+            return {label: coeff * right for label, coeff in left.items()}
+        return left * right
+    if isinstance(left, dict) or isinstance(right, dict):
+        raise ParseError("basis labels cannot be multiplied inside a table entry", at.line, at.col)
+    if type(left) is not type(right):
+        raise ParseError(_MIXING, at.line, at.col)
+    try:
+        return left * right
+    except ValueError as exc:
+        raise ParseError(str(exc), at.line, at.col) from None
 
 
 class _ExprParser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent that evaluates as it parses.
+
+    `context` supplies graded variables and `definitions` named operators.
+    With `labels` the text is a bracket-table entry: bare names are basis
+    labels and matrix tokens are refused.
+    """
+
+    def __init__(self, text: str, line: int = 1, col: int = 1,
+                 context: Union[VarContext, None] = None,
+                 definitions: Union[Mapping[str, object], None] = None,
+                 labels: Union[Sequence[str], None] = None):
+        self.tokens = tokenize(text, line, col)
         self.pos = 0
+        self.ctx = context
+        self.defs = definitions or {}
+        self.labels = labels
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -137,288 +210,137 @@ class _ExprParser:
         self.pos += 1
         return token
 
-    def expect_sym(self, symbol: str) -> Token:
-        token = self.peek()
-        if token.kind != "sym" or token.value != symbol:
-            raise ParseError(f"expected {symbol!r}", token.line, token.col)
-        return self.advance()
-
     def at_sym(self, symbol: str) -> bool:
         token = self.peek()
         return token.kind == "sym" and token.value == symbol
 
-    # -- grammar ----------------------------------------------------------
-    def parse_expression(self):
-        node = None
-        negate = False
-        if self.at_sym("+") or self.at_sym("-"):
-            negate = self.advance().value == "-"
-        node = self.parse_term()
-        if negate:
-            node = ("neg", node)
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.advance().value
-            rhs = self.parse_term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            if self.at_sym("*"):
-                self.advance()
-                node = ("mul", node, self.parse_factor())
-            elif self._starts_factor():
-                node = ("mul", node, self.parse_factor())
-            else:
-                return node
-
-    def _starts_factor(self) -> bool:
-        token = self.peek()
-        return token.kind in ("int", "ident") or (token.kind == "sym" and token.value == "(")
-
-    def parse_factor(self):
-        node = self.parse_atom()
-        if self.at_sym("^"):
-            caret = self.advance()
+    def expect_sym(self, symbol: str) -> Token:
+        if not self.at_sym(symbol):
             token = self.peek()
-            if token.kind != "int":
-                raise ParseError("expected an integer exponent after '^'", token.line, token.col)
-            self.advance()
-            node = ("pow", node, token.value, (caret.line, caret.col))
-        return node
+            raise ParseError(f"expected {symbol!r}", token.line, token.col)
+        return self.advance()
 
-    def parse_atom(self):
-        token = self.peek()
-        pos = (token.line, token.col)
-        if token.kind == "int":
-            self.advance()
-            value = Fraction(token.value)
-            if self.at_sym("/"):
-                self.advance()
-                denom = self.peek()
-                if denom.kind != "int":
-                    raise ParseError("expected an integer denominator", denom.line, denom.col)
-                self.advance()
-                if denom.value == 0:
-                    raise ParseError("division by zero", denom.line, denom.col)
-                value = Fraction(token.value, denom.value)
-            return ("num", value, pos)
-        if token.kind == "ident":
-            name = token.value
-            self.advance()
-            # "e" and "D" are keywords only when immediately applied to "(";
-            # otherwise they are ordinary names (D is a common basis label).
-            if name == "e" and self.at_sym("("):
-                self.expect_sym("(")
-                i = self._expect_int()
-                self.expect_sym(",")
-                j = self._expect_int()
-                self.expect_sym(")")
-                return ("elem", i, j, pos)
-            if name == "D" and self.at_sym("("):
-                self.expect_sym("(")
-                inner = self.peek()
-                if inner.kind != "ident":
-                    raise ParseError("expected a variable name inside D(...)", inner.line, inner.col)
-                self.advance()
-                self.expect_sym(")")
-                return ("partial", inner.value, pos)
-            if name in ("i", "lam", "t", "x", "dt", "dx"):
-                return ("atom", name, pos)
-            return ("name", name, pos)
-        if token.kind == "sym" and token.value == "(":
-            self.advance()
-            node = self.parse_expression()
-            self.expect_sym(")")
-            return node
-        raise ParseError(f"expected a value, found {token.value!r}" if token.kind != "end"
-                         else "unexpected end of expression", token.line, token.col)
-
-    def _expect_int(self) -> int:
+    def expect_int(self, message: str = "expected an integer") -> Token:
         token = self.peek()
         if token.kind != "int":
-            raise ParseError("expected an integer", token.line, token.col)
-        self.advance()
-        return token.value
+            raise ParseError(message, token.line, token.col)
+        return self.advance()
 
     def expect_end(self):
         token = self.peek()
         if token.kind != "end":
             raise ParseError(f"unexpected {token.value!r} after expression", token.line, token.col)
 
+    def parse_all(self):
+        value = self.parse_expression()
+        self.expect_end()
+        return value
 
-# ---------------------------------------------------------------------------
-# evaluation
-#
-# Values are tagged: ("s", Scalar) | ("m", MatDiffOp) | ("g", GradedDiffOp)
-# | ("c", {label: Scalar}).
+    # -- grammar ----------------------------------------------------------
+    def parse_expression(self):
+        negate = (self.at_sym("+") or self.at_sym("-")) and self.advance().value == "-"
+        value = self.parse_term()
+        if negate:
+            value = _neg(value)
+        while self.at_sym("+") or self.at_sym("-"):
+            op = self.advance()
+            rhs = self.parse_term()
+            value = _add(value, rhs if op.value == "+" else _neg(rhs), op)
+        return value
 
+    def parse_term(self):
+        value = self.parse_factor()
+        while True:
+            at = self.peek()
+            if self.at_sym("*"):
+                self.advance()
+            elif not (at.kind in ("int", "ident") or self.at_sym("(")):
+                return value
+            value = _mul(value, self.parse_factor(), at)
 
-class _Env:
-    def __init__(self, context=None, definitions=None, labels=None):
-        self.ctx = context
-        self.defs = dict(definitions or {})
-        self.labels = None if labels is None else list(labels)
-
-
-def _wrap(obj):
-    if isinstance(obj, MatDiffOp):
-        return ("m", obj)
-    if isinstance(obj, GradedDiffOp):
-        return ("g", obj)
-    return ("s", as_scalar(obj))
-
-
-_MIXING = "expression mixes matrix tokens (t, x, dt, dx, e(i,j)) with graded-variable tokens"
-
-
-def _eval(node, env: _Env):
-    tag = node[0]
-    if tag == "num":
-        return ("s", as_scalar(node[1]))
-    if tag == "atom":
-        name, pos = node[1], node[2]
-        if name == "i":
-            return ("s", Scalar.constant(GaussianRational(0, 1)))
-        if name == "lam":
-            return ("s", Scalar.lam_power(1))
-        if env.labels is not None:
-            raise ParseError(f"{name!r} is not allowed in a bracket-table entry", *pos)
-        base = {"t": weyl.T, "x": weyl.X, "dt": weyl.DT, "dx": weyl.DX}[name]
-        return ("m", matop.scalar_op(base))
-    if tag == "elem":
-        _, i, j, pos = node
-        if env.labels is not None:
-            raise ParseError("e(i,j) is not allowed in a bracket-table entry", *pos)
-        try:
-            return ("m", matop.elem(i, j))
-        except ValueError as exc:
-            raise ParseError(str(exc), *pos) from None
-    if tag == "partial":
-        _, name, pos = node
-        if env.ctx is None:
-            raise ParseError("D(...) needs declared variables", *pos)
-        if name not in env.ctx:
-            raise ParseError(f"unknown variable {name!r}", *pos)
-        return ("g", vecfield.partial(env.ctx, name))
-    if tag == "name":
-        _, name, pos = node
-        if env.labels is not None:
-            if name in env.labels:
-                return ("c", {name: Scalar.constant(1)})
-            raise ParseError(f"unknown basis label {name!r}", *pos)
-        if env.ctx is not None and name in env.ctx:
-            return ("g", vecfield.multiplier(env.ctx.poly(name)))
-        if name in env.defs:
-            return _wrap(env.defs[name])
-        raise ParseError(f"unknown identifier {name!r}", *pos)
-    if tag == "neg":
-        kind, value = _eval(node[1], env)
-        if kind == "s":
-            return ("s", -value)
-        if kind == "c":
-            return ("c", {label: -coeff for label, coeff in value.items()})
-        return (kind, -value)
-    if tag in ("add", "sub"):
-        left = _eval(node[1], env)
-        right = _eval(node[2], env)
-        if tag == "sub":
-            kind, value = right
-            if kind == "s":
-                right = ("s", -value)
-            elif kind == "c":
-                right = ("c", {label: -coeff for label, coeff in value.items()})
-            else:
-                right = (kind, -value)
-        return _combine_add(left, right, env, _node_pos(node[1]))
-    if tag == "mul":
-        left = _eval(node[1], env)
-        right = _eval(node[2], env)
-        return _combine_mul(left, right, _node_pos(node[1]))
-    if tag == "pow":
-        _, base_node, exponent, pos = node
-        base = _eval(base_node, env)
+    def parse_factor(self):
+        value = self.parse_atom()
+        if not self.at_sym("^"):
+            return value
+        caret = self.advance()
+        exponent = self.expect_int("expected an integer exponent after '^'").value
         if exponent == 0:
-            return ("s", Scalar.constant(1))
-        result = base
+            return scalars.ONE
+        result = value
         for _ in range(exponent - 1):
-            result = _combine_mul(result, base, pos)
+            result = _mul(result, value, caret)
         return result
-    raise AssertionError(f"unhandled node {tag}")
 
+    def parse_atom(self):
+        token = self.advance()
+        if token.kind == "int":
+            if not self.at_sym("/"):
+                return as_scalar(token.value)
+            self.advance()
+            denom = self.expect_int("expected an integer denominator")
+            if denom.value == 0:
+                raise ParseError("division by zero", denom.line, denom.col)
+            return as_scalar(Fraction(token.value, denom.value))
+        if token.kind == "ident":
+            # "e" and "D" are keywords only when immediately applied to "(";
+            # otherwise they are ordinary names (D is a common basis label).
+            if token.value == "e" and self.at_sym("("):
+                self.advance()
+                i = self.expect_int().value
+                self.expect_sym(",")
+                j = self.expect_int().value
+                self.expect_sym(")")
+                return self.elem(i, j, token)
+            if token.value == "D" and self.at_sym("("):
+                self.advance()
+                var = self.peek()
+                if var.kind != "ident":
+                    raise ParseError("expected a variable name inside D(...)", var.line, var.col)
+                self.advance()
+                self.expect_sym(")")
+                return self.partial(var.value, token)
+            return self.resolve(token)
+        if token.kind == "sym" and token.value == "(":
+            value = self.parse_expression()
+            self.expect_sym(")")
+            return value
+        raise ParseError(f"expected a value, found {token.value!r}" if token.kind != "end"
+                         else "unexpected end of expression", token.line, token.col)
 
-def _node_pos(node):
-    tag = node[0]
-    if tag in ("num", "atom", "name"):
-        return node[2]
-    if tag in ("elem", "pow"):
-        return node[3]
-    if tag == "partial":
-        return node[2]
-    if tag == "neg":
-        return _node_pos(node[1])
-    return _node_pos(node[1])
-
-
-def _promote_scalar(scalar: Scalar, template_kind: str, env: _Env):
-    if template_kind == "m":
-        return matop.scalar_op(DiffOp.constant(scalar))
-    if template_kind == "g":
-        return vecfield.multiplier(env.ctx.scalar(scalar))
-    raise AssertionError
-
-
-def _combine_add(left, right, env: _Env, pos):
-    lk, lv = left
-    rk, rv = right
-    if lk == "s" and rk in ("m", "g"):
-        lk, lv = rk, _promote_scalar(lv, rk, env)
-    elif rk == "s" and lk in ("m", "g"):
-        rk, rv = lk, _promote_scalar(rv, lk, env)
-    if lk != rk:
-        if "c" in (lk, rk):
-            raise ParseError("cannot add a bare scalar or operator to basis labels", *pos)
-        raise ParseError(_MIXING, *pos)
-    if lk == "c":
-        merged = dict(lv)
-        for label, coeff in rv.items():
-            add_into(merged, label, coeff)
-        return ("c", merged)
-    try:  # operators of different degrees or variable contexts
-        return (lk, lv + rv)
-    except ValueError as exc:
-        raise ParseError(str(exc), *pos) from None
-
-
-def _combine_mul(left, right, pos):
-    lk, lv = left
-    rk, rv = right
-    if lk == "s" and rk == "s":
-        return ("s", lv * rv)
-    if lk == "s":
-        if rk == "c":
-            return ("c", {label: lv * coeff for label, coeff in rv.items()})
-        return (rk, rv.scale(lv))
-    if rk == "s":
-        if lk == "c":
-            return ("c", {label: coeff * rv for label, coeff in lv.items()})
-        return (lk, lv.scale(rv))
-    if lk == rk and lk in ("m", "g"):
+    # -- values -----------------------------------------------------------
+    def elem(self, i: int, j: int, at: Token) -> MatDiffOp:
+        if self.labels is not None:
+            raise ParseError("e(i,j) is not allowed in a bracket-table entry", at.line, at.col)
         try:
-            return (lk, lv * rv)
+            return matop.elem(i, j)
         except ValueError as exc:
-            raise ParseError(str(exc), *pos) from None
-    if "c" in (lk, rk):
-        raise ParseError("basis labels cannot be multiplied inside a table entry", *pos)
-    raise ParseError(_MIXING, *pos)
+            raise ParseError(str(exc), at.line, at.col) from None
 
+    def partial(self, name: str, at: Token) -> GradedDiffOp:
+        if self.ctx is None:
+            raise ParseError("D(...) needs declared variables", at.line, at.col)
+        if name not in self.ctx:
+            raise ParseError(f"unknown variable {name!r}", at.line, at.col)
+        return vecfield.partial(self.ctx, name)
 
-def _parse_value(text: str, env: _Env, line: int = 1, col: int = 1):
-    parser = _ExprParser(tokenize(text, line, col))
-    node = parser.parse_expression()
-    parser.expect_end()
-    return _eval(node, env)
+    def resolve(self, at: Token):
+        name = at.value
+        if name in _CONSTANTS:
+            return _CONSTANTS[name]
+        if name in _MATRIX_ATOMS:
+            if self.labels is not None:
+                raise ParseError(f"{name!r} is not allowed in a bracket-table entry", at.line, at.col)
+            return _MATRIX_ATOMS[name]
+        if self.labels is not None:
+            if name in self.labels:
+                return {name: scalars.ONE}
+            raise ParseError(f"unknown basis label {name!r}", at.line, at.col)
+        if self.ctx is not None and name in self.ctx:
+            return vecfield.multiplier(self.ctx.poly(name))
+        if name in self.defs:
+            value = self.defs[name]
+            return value if isinstance(value, _OPERATORS) else as_scalar(value)
+        raise ParseError(f"unknown identifier {name!r}", at.line, at.col)
 
 
 def parse_operator_expr(text: str, context: Union[VarContext, None] = None,
@@ -429,28 +351,25 @@ def parse_operator_expr(text: str, context: Union[VarContext, None] = None,
     tokens present), or a Scalar (neither).  `definitions` supplies named
     operators usable as factors; `context` supplies graded variables.
     """
-    kind, value = _parse_value(text, _Env(context=context, definitions=definitions))
-    return value
+    return _ExprParser(text, context=context, definitions=definitions).parse_all()
 
 
 def parse_scalar_expr(text: str, line: int = 1, col: int = 1) -> Scalar:
     """Parse an expression that must reduce to a bare scalar."""
-    kind, value = _parse_value(text, _Env(), line, col)
-    if kind != "s":
+    value = _ExprParser(text, line, col).parse_all()
+    if not isinstance(value, Scalar):
         raise ParseError("expected a scalar expression", line, col)
     return value
 
 
 def parse_combination(text: str, labels: Sequence[str], line: int = 1, col: int = 1) -> dict[str, Scalar]:
     """Parse a linear combination of basis labels; '0' gives {}."""
-    kind, value = _parse_value(text, _Env(labels=labels), line, col)
-    if kind == "s":
-        if not value:
-            return {}
-        raise ParseError("a table entry must be 0 or a combination of basis labels", line, col)
-    if kind != "c":
-        raise ParseError("a table entry must be 0 or a combination of basis labels", line, col)
-    return value
+    value = _ExprParser(text, line, col, labels=labels).parse_all()
+    if isinstance(value, dict):
+        return value
+    if isinstance(value, Scalar) and not value:
+        return {}
+    raise ParseError("a table entry must be 0 or a combination of basis labels", line, col)
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +442,16 @@ def _split_sections(text: str):
         if current is None:
             head.append((number, stripped))
         else:
-            current.append((number, stripped))
+            current.append((number, line))
     return head, sections
 
 
 def _split_equals(line: str, number: int):
-    if "=" not in line:
+    """'name = rhs' -> (name, rhs, column of rhs), columns counted in the raw line."""
+    left, equals, right = line.partition("=")
+    if not equals:
         raise ParseError("expected 'name = expression'", number, 1)
-    left, right = line.split("=", 1)
-    rhs_col = len(left) + 2
-    return left.strip(), right.strip(), rhs_col
+    return left.strip(), right.strip(), len(left) + 2 + len(right) - len(right.lstrip())
 
 
 # "D" and "e" stay usable as basis labels (keywords only before "("),
@@ -546,7 +465,7 @@ def _parse_basis_lines(lines, what="basis element",
     basis = []
     seen = set()
     for number, line in lines:
-        match = _BASIS_LINE_RE.match(line)
+        match = _BASIS_LINE_RE.match(line.strip())
         if not match:
             raise ParseError(f"expected '{what} (a1,a2)'", number, 1)
         label = match.group(1)
@@ -569,12 +488,16 @@ def _bracket_head(text: str, number: int, col: int = 1):
     return open_sym, left, right
 
 
+def _delimiters(da: Degree, db: Degree) -> tuple[str, str]:
+    """How the bracket of degrees da, db is written: braces exactly when the color sign is -1."""
+    return ("{", "}") if koszul_sign(da, db) == -1 else ("[", "]")
+
+
 def _check_bracket_symbol(symbol: str, da: Degree, db: Degree, la: str, lb: str, number: int):
-    expected = "{" if koszul_sign(da, db) == -1 else "["
-    if symbol != expected:
-        shape = "{A, B}" if expected == "{" else "[A, B]"
+    opening, closing = _delimiters(da, db)
+    if symbol != opening:
         raise ParseError(
-            f"bracket of {la} {da} and {lb} {db} must be written {shape}", number, 1)
+            f"bracket of {la} {da} and {lb} {db} must be written {opening}A, B{closing}", number, 1)
 
 
 def _section_map(sections, entry_kind: str, allowed: Sequence[str]):
@@ -605,20 +528,14 @@ def _parse_operator_sections(sections, kind: str, basis, context=None):
             raise ParseError(f"{label!r} is not in the basis", number, 1)
         if label in ops:
             raise ParseError(f"{label!r} is defined twice", number, 1)
-        value_kind, value = _parse_value(rhs, _Env(context=context, definitions=ops), number, rhs_col)
+        value = _ExprParser(rhs, number, rhs_col, context=context, definitions=ops).parse_all()
         declared = degrees[label]
-        if value_kind == "s":
-            if context is not None:
-                value = vecfield.multiplier(context.scalar(value))
-                value_kind = "g"
-            else:
-                value = matop.scalar_op(DiffOp.constant(value))
-                value_kind = "m"
-        wanted = "g" if context is not None else "m"
-        if value_kind != wanted:
-            flavour = "graded vector field" if wanted == "g" else "matrix operator"
+        if isinstance(value, Scalar):
+            value = _promote(value, context)
+        if isinstance(value, MatDiffOp) != (context is None):
+            flavour = "matrix operator" if context is None else "graded vector field"
             raise ParseError(f"a {kind} entry defines {flavour}s", number, rhs_col)
-        if value_kind == "m":
+        if isinstance(value, MatDiffOp):
             value = value.with_degree(declared)
         elif value.is_zero:
             value = vecfield.zero(context, declared)
@@ -667,7 +584,6 @@ def parse_definition(text: str) -> CorpusEntry:
         raise ParseError(f"unexpected line before the first section: {line!r}", number, 1)
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})", head[1][0], 1)
-    notes = "\n".join(line for _, line in dict(_section_map_raw(sections)).get("notes", []))
 
     if kind == "d-module":
         named = _section_map(sections, kind, ("basis", "operators", "derived", "notes"))
@@ -769,11 +685,8 @@ def parse_definition(text: str) -> CorpusEntry:
                 split[key].extend(rest.split())
         payload = {"grading_labels": grading_labels, "weights": weights,
                    "weight_order": weight_order, "split": split}
+    notes = "\n".join(line.strip() for _, line in named.get("notes", []))
     return CorpusEntry(entry_id, kind, payload, notes)
-
-
-def _section_map_raw(sections):
-    return [(name, lines) for _, name, lines in sections]
 
 
 def _head_field(head_line: tuple[int, str], expected: str) -> str:
@@ -785,7 +698,7 @@ def _head_field(head_line: tuple[int, str], expected: str) -> str:
 
 
 def _parse_scalar_tuple(text: str, line: int, col: int, arity: int) -> tuple[Scalar, ...]:
-    parser = _ExprParser(tokenize(text, line, col))
+    parser = _ExprParser(text, line, col)
     parser.expect_sym("(")
     values = [parser.parse_expression()]
     while parser.at_sym(","):
@@ -793,17 +706,12 @@ def _parse_scalar_tuple(text: str, line: int, col: int, arity: int) -> tuple[Sca
         values.append(parser.parse_expression())
     parser.expect_sym(")")
     parser.expect_end()
-    env = _Env()
-    scalars = []
-    for node in values:
-        kind, value = _eval(node, env)
-        if kind != "s":
-            raise ParseError("weight components must be scalars", line, col)
-        scalars.append(value)
-    if arity and len(scalars) != arity:
+    if not all(isinstance(value, Scalar) for value in values):
+        raise ParseError("weight components must be scalars", line, col)
+    if arity and len(values) != arity:
         raise ParseError(
-            f"expected {arity} weight components, found {len(scalars)}", line, col)
-    return tuple(scalars)
+            f"expected {arity} weight components, found {len(values)}", line, col)
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +738,9 @@ def emit_definition(entry: CorpusEntry) -> str:
         out.append("")
         if payload["derived"]:
             out.append("derived:")
-            close = {"[": "]", "{": "}"}
-            for label, symbol, (la, lb) in payload["derived"]:
-                out.append(f"  {label} = {symbol}{la}, {lb}{close[symbol]}")
+            for label, _, (la, lb) in payload["derived"]:
+                opening, closing = _delimiters(realization.op(la).degree, realization.op(lb).degree)
+                out.append(f"  {label} = {opening}{la}, {lb}{closing}")
             out.append("")
     elif entry.kind == "table":
         table: BracketTable = payload["table"]
@@ -841,8 +749,8 @@ def emit_definition(entry: CorpusEntry) -> str:
         for (i, j), entry_value in sorted(table.constants.items()):
             la, da = table.basis[i]
             lb, db = table.basis[j]
-            symbol = ("{", "}") if koszul_sign(da, db) == -1 else ("[", "]")
-            out.append(f"  {symbol[0]}{la}, {lb}{symbol[1]} = {table.combo_str(entry_value)}")
+            opening, closing = _delimiters(da, db)
+            out.append(f"  {opening}{la}, {lb}{closing} = {table.combo_str(entry_value)}")
         out.append("")
     elif entry.kind == "grading":
         basis_section("basis", payload["basis"])
@@ -996,13 +904,15 @@ def table_to_latex(table: BracketTable) -> str:
     for (da, db) in sorted(sectors, key=lambda pair: (pair[0].a1, pair[0].a2, pair[1].a1, pair[1].a2)):
         out.append(f"% sector {da} x {db}")
         out.append(r"\begin{align*}")
+        opening, closing = _delimiters(da, db)
+        if opening == "{":
+            opening, closing = r"\{", r"\}"
         lines = []
         for i, j in sectors[(da, db)]:
             la = label_to_latex(table.basis[i][0])
             lb = label_to_latex(table.basis[j][0])
-            symbol = ("\\{", "\\}") if koszul_sign(table.basis[i][1], table.basis[j][1]) == -1 else ("[", "]")
             value = _combo_latex(table, table.constants[(i, j)])
-            lines.append(f"{symbol[0]}{la}, {lb}{symbol[1]} &= {value}")
+            lines.append(f"{opening}{la}, {lb}{closing} &= {value}")
         out.append(" ,\\\\\n".join(lines))
         out.append(r"\end{align*}")
     return "\n".join(out) + "\n"
@@ -1015,8 +925,8 @@ def emit_table(table: BracketTable, fmt: str = "text") -> str:
         for (i, j), entry in sorted(table.constants.items()):
             la, da = table.basis[i]
             lb, db = table.basis[j]
-            symbol = ("{", "}") if koszul_sign(da, db) == -1 else ("[", "]")
-            lines.append(f"{symbol[0]}{la},{lb}{symbol[1]} = {table.combo_str(entry)}")
+            opening, closing = _delimiters(da, db)
+            lines.append(f"{opening}{la},{lb}{closing} = {table.combo_str(entry)}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps(table_to_dict(table), indent=2, sort_keys=True) + "\n"

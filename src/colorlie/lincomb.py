@@ -113,9 +113,6 @@ class LinComb(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def lam_degree(self) -> int:
-        return max((coeff.lam_degree() for coeff in self.terms.values()), default=-1)
-
 
 def term_text(coeff: str, factors: Sequence[str], sep: str = "*") -> str:
     """One printed term: '2*t*dx', '-D(x)', '(1+lam)*H', or a bare coefficient.

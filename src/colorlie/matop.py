@@ -79,9 +79,6 @@ class MatDiffOp(Frozen):
     def is_zero(self) -> bool:
         return all(d.is_zero for row in self.entries for d in row)
 
-    def order(self) -> int:
-        return max((d.order() for row in self.entries for d in row), default=0)
-
     def nonzero_entries(self):
         for i, row in enumerate(self.entries):
             for j, d in enumerate(row):

@@ -102,6 +102,20 @@ table:
     assert "line 8" in str(err.value)
 
 
+@pytest.mark.parametrize("kind, section, line, col", [
+    ("d-module", "operators:\n  A = dt $ 2", 8, 10),
+    ("table", "table:\n  [A, A] = 3 +", 8, 15),
+    ("table", "table:\n  [A, A] = A  + 3", 8, 15),
+])
+def test_error_column_is_the_offending_character(kind, section, line, col):
+    # indentation and the spaces after '=' count toward the column; a sum
+    # that cannot be formed is located at its operator
+    text = f"algebra demo\nkind {kind}\n\nbasis:\n  A (0,0)\n\n{section}\n"
+    with pytest.raises(ParseError) as err:
+        parse_definition(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_zero_expression_parses():
     op = parse_operator_expr("0")
     assert op.is_zero
@@ -112,6 +126,12 @@ def test_scalar_promotion_with_identity():
     ident = weyl.DiffOp.constant(2)
     assert op.entries[0][0] == ident + weyl.DiffOp.monomial(dt=1)
     assert op.entries[1][1] == ident + weyl.DiffOp.monomial(dt=1)
+
+
+def test_scalar_promotes_over_a_defined_graded_operator():
+    # the scalar takes the operator's own variables; no context is passed
+    op = parse_operator_expr("2 + A", definitions={"A": partial(CTX, "x1")})
+    assert op == parse_operator_expr("2 + D(x1)", context=CTX)
 
 
 def test_parse_combination():

@@ -3,6 +3,7 @@
 Corpus definition files are mutated by deleting, inserting, replacing and
 duplicating spans and by swapping lines.  ``parse_definition`` must then
 either succeed or raise ParseError, which the CLI maps to exit code 2.
+A mutant that parses must also round-trip through ``emit_definition``.
 A leak it found, a scalar added to an operator of another degree, is
 pinned below.  Inserted and replacing text holds no '^': a large power of
 a sum is valid input that takes unbounded time until exponents are
@@ -14,7 +15,7 @@ from importlib import resources
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from colorlie.io import ParseError, parse_definition
+from colorlie.io import ParseError, emit_definition, parse_definition
 
 TEXTS = [path.read_text(encoding="utf-8")
          for path in sorted((resources.files("colorlie") / "defs").iterdir(), key=str)
@@ -49,9 +50,11 @@ def mutated_definitions(draw):
 @given(mutated_definitions())
 def test_only_parse_error_escapes(text):
     try:
-        parse_definition(text)
+        entry = parse_definition(text)
     except ParseError:
-        pass
+        return
+    emitted = emit_definition(entry)
+    assert emit_definition(parse_definition(emitted)) == emitted
 
 
 @pytest.mark.parametrize("text, line", [
