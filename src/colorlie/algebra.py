@@ -16,7 +16,6 @@ reports residuals instead of ever auto-correcting them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .grading import Degree, koszul_sign
@@ -365,7 +364,7 @@ def _diagnose_failure(pair, columns, target, base_solver_residual):
     def eval_vector(vec, value: int):
         out: dict = {}
         for key, gauss in vec.items():
-            add_into(out, key[:-1], gauss * GaussianRational(Fraction(value) ** key[-1]))
+            add_into(out, key[:-1], gauss * value ** key[-1])
         return out
 
     degree_bound = max(

@@ -446,12 +446,18 @@ def _split_sections(text: str):
     return head, sections
 
 
+def _indent_col(line: str) -> int:
+    """The column of the first non-blank character of a raw line."""
+    return len(line) - len(line.lstrip()) + 1
+
+
 def _split_equals(line: str, number: int):
-    """'name = rhs' -> (name, rhs, column of rhs), columns counted in the raw line."""
+    """'name = rhs' -> (name, column of name, rhs, column of rhs), in the raw line."""
     left, equals, right = line.partition("=")
     if not equals:
-        raise ParseError("expected 'name = expression'", number, 1)
-    return left.strip(), right.strip(), len(left) + 2 + len(right) - len(right.lstrip())
+        raise ParseError("expected 'name = expression'", number, _indent_col(line))
+    rhs_col = len(left) + 2 + len(right) - len(right.lstrip())
+    return left.strip(), _indent_col(left), right.strip(), rhs_col
 
 
 # "D" and "e" stay usable as basis labels (keywords only before "("),
@@ -465,39 +471,42 @@ def _parse_basis_lines(lines, what="basis element",
     basis = []
     seen = set()
     for number, line in lines:
+        col = _indent_col(line)
         match = _BASIS_LINE_RE.match(line.strip())
         if not match:
-            raise ParseError(f"expected '{what} (a1,a2)'", number, 1)
+            raise ParseError(f"expected '{what} (a1,a2)'", number, col)
         label = match.group(1)
         if label in reserved:
-            raise ParseError(f"{label!r} is a reserved word", number, 1)
+            raise ParseError(f"{label!r} is a reserved word", number, col)
         if label in seen:
-            raise ParseError(f"duplicate label {label!r}", number, 1)
+            raise ParseError(f"duplicate label {label!r}", number, col)
         seen.add(label)
         basis.append((label, Degree(int(match.group(2)), int(match.group(3)))))
     return tuple(basis)
 
 
-def _bracket_head(text: str, number: int, col: int = 1):
+def _bracket_head(text: str, number: int, col: int, degrees: Mapping[str, Degree], unknown: str):
+    """'[A, B]' at column col -> (symbol, A, B): labels in degrees, delimiters as _delimiters says."""
     match = _BRACKET_RE.match(text)
     if not match:
         raise ParseError("expected '[A, B]' or '{A, B}'", number, col)
     open_sym, left, right, close_sym = match.groups()
     if (open_sym, close_sym) not in (("[", "]"), ("{", "}")):
         raise ParseError("mismatched bracket delimiters", number, col)
+    for group in (2, 3):
+        if match.group(group) not in degrees:
+            raise ParseError(unknown.format(match.group(group)), number, col + match.start(group))
+    da, db = degrees[left], degrees[right]
+    opening, closing = _delimiters(da, db)
+    if open_sym != opening:
+        raise ParseError(f"bracket of {left} {da} and {right} {db} must be written "
+                         f"{opening}A, B{closing}", number, col)
     return open_sym, left, right
 
 
 def _delimiters(da: Degree, db: Degree) -> tuple[str, str]:
     """How the bracket of degrees da, db is written: braces exactly when the color sign is -1."""
     return ("{", "}") if koszul_sign(da, db) == -1 else ("[", "]")
-
-
-def _check_bracket_symbol(symbol: str, da: Degree, db: Degree, la: str, lb: str, number: int):
-    opening, closing = _delimiters(da, db)
-    if symbol != opening:
-        raise ParseError(
-            f"bracket of {la} {da} and {lb} {db} must be written {opening}A, B{closing}", number, 1)
 
 
 def _section_map(sections, entry_kind: str, allowed: Sequence[str]):
@@ -523,11 +532,11 @@ def _parse_operator_sections(sections, kind: str, basis, context=None):
     ops: dict[str, object] = {}
     operator_order: list[str] = []
     for number, line in _require(sections, "operators", kind):
-        label, rhs, rhs_col = _split_equals(line, number)
+        label, label_col, rhs, rhs_col = _split_equals(line, number)
         if label not in degrees:
-            raise ParseError(f"{label!r} is not in the basis", number, 1)
+            raise ParseError(f"{label!r} is not in the basis", number, label_col)
         if label in ops:
-            raise ParseError(f"{label!r} is defined twice", number, 1)
+            raise ParseError(f"{label!r} is defined twice", number, label_col)
         value = _ExprParser(rhs, number, rhs_col, context=context, definitions=ops).parse_all()
         declared = degrees[label]
         if isinstance(value, Scalar):
@@ -548,16 +557,13 @@ def _parse_operator_sections(sections, kind: str, basis, context=None):
 
     derived: list[tuple[str, str, tuple[str, str]]] = []
     for number, line in sections.get("derived", []):
-        label, rhs, rhs_col = _split_equals(line, number)
+        label, label_col, rhs, rhs_col = _split_equals(line, number)
         if label not in degrees:
-            raise ParseError(f"{label!r} is not in the basis", number, 1)
+            raise ParseError(f"{label!r} is not in the basis", number, label_col)
         if label in ops:
-            raise ParseError(f"{label!r} is defined twice", number, 1)
-        symbol, la, lb = _bracket_head(rhs, number, rhs_col)
-        for operand in (la, lb):
-            if operand not in ops:
-                raise ParseError(f"{operand!r} is not defined yet", number, rhs_col)
-        _check_bracket_symbol(symbol, ops[la].degree, ops[lb].degree, la, lb, number)
+            raise ParseError(f"{label!r} is defined twice", number, label_col)
+        defined = {name: op.degree for name, op in ops.items()}
+        symbol, la, lb = _bracket_head(rhs, number, rhs_col, defined, "{!r} is not defined yet")
         value = ops[la].bracket(ops[lb])
         if not value.is_zero and value.degree != degrees[label]:
             raise ParseError(
@@ -609,12 +615,9 @@ def parse_definition(text: str) -> CorpusEntry:
         constants: dict[tuple[int, int], list] = {}
         stated: set[tuple[int, int]] = set()
         for number, line in _require(named, "table", kind):
-            headtext, rhs, rhs_col = _split_equals(line, number)
-            symbol, la, lb = _bracket_head(headtext, number)
-            for operand in (la, lb):
-                if operand not in index:
-                    raise ParseError(f"unknown basis label {operand!r}", number, 1)
-            _check_bracket_symbol(symbol, degrees[la], degrees[lb], la, lb, number)
+            headtext, head_col, rhs, rhs_col = _split_equals(line, number)
+            symbol, la, lb = _bracket_head(headtext, number, head_col, degrees,
+                                           "unknown basis label {!r}")
             i, j = index[la], index[lb]
             combo = parse_combination(rhs, labels, number, rhs_col)
             entry = [(index[target], coeff) for target, coeff in combo.items()]
@@ -624,7 +627,7 @@ def parse_definition(text: str) -> CorpusEntry:
                 entry = [(target, coeff * sign) for target, coeff in entry]
                 i, j = j, i
             if (i, j) in stated:
-                raise ParseError(f"duplicate entry for ({la}, {lb})", number, 1)
+                raise ParseError(f"duplicate entry for ({la}, {lb})", number, head_col)
             stated.add((i, j))
             if entry:
                 constants[(i, j)] = entry
@@ -643,11 +646,11 @@ def parse_definition(text: str) -> CorpusEntry:
         old_index = {label: k for k, label in enumerate(old_labels)}
         rows: dict[str, list[Scalar]] = {}
         for number, line in _require(named, "combos", kind):
-            label, rhs, rhs_col = _split_equals(line, number)
+            label, label_col, rhs, rhs_col = _split_equals(line, number)
             if label not in {l for l, _ in new_basis}:
-                raise ParseError(f"{label!r} is not in the new basis", number, 1)
+                raise ParseError(f"{label!r} is not in the new basis", number, label_col)
             if label in rows:
-                raise ParseError(f"{label!r} is defined twice", number, 1)
+                raise ParseError(f"{label!r} is defined twice", number, label_col)
             combo = parse_combination(rhs, old_labels, number, rhs_col)
             row = [Scalar() for _ in old_labels]
             for old_label, coeff in combo.items():
@@ -667,9 +670,9 @@ def parse_definition(text: str) -> CorpusEntry:
         weights: dict[str, tuple[Scalar, ...]] = {}
         weight_order: list[str] = []
         for number, line in _require(named, "weights", kind):
-            label, rhs, rhs_col = _split_equals(line, number)
+            label, label_col, rhs, rhs_col = _split_equals(line, number)
             if label in weights:
-                raise ParseError(f"duplicate weight line for {label!r}", number, 1)
+                raise ParseError(f"duplicate weight line for {label!r}", number, label_col)
             weights[label] = _parse_scalar_tuple(rhs, number, rhs_col, len(grading_labels))
             weight_order.append(label)
         split: Union[dict[str, list[str]], None] = None
@@ -677,11 +680,12 @@ def parse_definition(text: str) -> CorpusEntry:
             split = {key: [] for key in _SPLIT_KEYS}
             for number, line in named["split"]:
                 if ":" not in line:
-                    raise ParseError("expected 'positive|zero|negative: labels...'", number, 1)
+                    raise ParseError("expected 'positive|zero|negative: labels...'",
+                                     number, _indent_col(line))
                 key, _, rest = line.partition(":")
                 key = key.strip()
                 if key not in _SPLIT_KEYS:
-                    raise ParseError(f"unknown split bucket {key!r}", number, 1)
+                    raise ParseError(f"unknown split bucket {key!r}", number, _indent_col(line))
                 split[key].extend(rest.split())
         payload = {"grading_labels": grading_labels, "weights": weights,
                    "weight_order": weight_order, "split": split}
@@ -808,7 +812,7 @@ def _scalar_from_json(terms) -> Scalar:
         re_num, re_den = term["re"]
         im_num, im_den = term["im"]
         value = GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
-        total = total + Scalar.constant(value) * Scalar.lam_power(int(term.get("lam", 0)))
+        total = total + Scalar.lam_power(int(term.get("lam", 0)), value)
     return total
 
 

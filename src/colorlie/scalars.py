@@ -6,83 +6,109 @@ presentations) whose coefficients are Gaussian rationals a + b*i.  All
 arithmetic is exact; equality means coefficient-by-coefficient identity.
 Scalars form a commutative ring -- division only exists for Gaussian
 rationals (constants), which is all the linear solver ever needs.
+
+A Gaussian rational is one reduced int triple (a, b, d) meaning
+(a + b*i)/d, with d > 0 and gcd(a, b, d) == 1: each value has one triple,
+and each operation is int arithmetic and at most one ``math.gcd``.
+``Fraction`` appears only where ``re``/``im`` are read or rationals come in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 
 from .lincomb import Frozen, add_into, setslot, signed_sum
 RationalLike = Union[int, Fraction]
 
 
-def _frac(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, lowest terms."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {value!r}")
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    new = object.__new__(GaussianRational)
+    setslot(new, "_abd", (a, b, d) if g == 1 else (a // g, b // g, d // g))
+    return new
 
 
 class GaussianRational(Frozen):
     """An exact complex number ``re + im*i`` with rational parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_abd",)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        setslot(self, "re", _frac(re))
-        setslot(self, "im", _frac(im))
+        a, q = _ratio(re)
+        b, s = _ratio(im)
+        d = q * s // gcd(q, s)
+        # both parts are in lowest terms, so the triple over lcm(q, s) is reduced
+        setslot(self, "_abd", (a * (d // q), b * (d // s), d))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._abd[0], self._abd[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._abd[1], self._abd[2])
 
     # -- ring / field operations -------------------------------------------
-    def __add__(self, other: GaussianRational) -> GaussianRational:
-        other = _as_gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+    def __add__(self, other) -> GaussianRational:
+        a, b, d = self._abd
+        c, e, f = _as_gauss(other)._abd
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
-    def __sub__(self, other: GaussianRational) -> GaussianRational:
-        other = _as_gauss(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+    def __sub__(self, other) -> GaussianRational:
+        return self + -_as_gauss(other)
 
     def __rsub__(self, other) -> GaussianRational:
         return _as_gauss(other) - self
 
     def __mul__(self, other) -> GaussianRational:
-        other = _as_gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._abd
+        c, e, f = _as_gauss(other)._abd
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> GaussianRational:
-        other = _as_gauss(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
+        a, b, d = self._abd
+        c, e, f = _as_gauss(other)._abd
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._abd
+        return _reduced(-a, -b, d)
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._abd
+        return _reduced(a, -b, d)
 
     # -- predicates ---------------------------------------------------------
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._abd != (0, 0, 1)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
+            other = _as_gauss(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._abd == other._abd
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -91,21 +117,30 @@ class GaussianRational(Frozen):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        imag = "i" if self.im == 1 else "-i" if self.im == -1 else f"{self.im}*i"
-        return f"({signed_sum([str(self.re), imag])})" if self.re else imag
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imag = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+        return f"({signed_sum([str(re), imag])})" if re else imag
 
 
 def _as_gauss(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
+    if type(value) is GaussianRational:
         return value
-    return GaussianRational(_frac(value))
+    a, d = _ratio(value)
+    return _reduced(a, 0, d)
 
 
 QI_ZERO = GaussianRational(0)
 QI_ONE = GaussianRational(1)
 QI_I = GaussianRational(0, 1)
+
+
+def _scalar(terms: dict) -> Scalar:
+    """The Scalar over a dict of int exponents >= 0 and nonzero GaussianRationals."""
+    new = object.__new__(Scalar)
+    setslot(new, "_terms", terms)
+    return new
 
 
 class Scalar(Frozen):
@@ -169,20 +204,21 @@ class Scalar(Frozen):
         return value.re
 
     def eval_lam(self, value: RationalLike) -> GaussianRational:
-        """Exact evaluation at lam = value."""
-        value = _frac(value)
+        """Exact evaluation at lam = value, by Horner's rule."""
+        point = _as_gauss(value)
         total = QI_ZERO
-        for exp, coeff in self._terms.items():
-            total = total + coeff * GaussianRational(value**exp)
+        for exp in range(self.lam_degree(), -1, -1):
+            total = total * point + self.coefficient(exp)
         return total
 
     # -- ring operations ------------------------------------------------------
     def __add__(self, other) -> Scalar:
-        other = as_scalar(other)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
             add_into(terms, exp, coeff)
-        return Scalar(terms)
+        return _scalar(terms)
 
     __radd__ = __add__
 
@@ -193,17 +229,28 @@ class Scalar(Frozen):
         return as_scalar(other) + (-self)
 
     def __mul__(self, other) -> Scalar:
-        other = as_scalar(other)
-        terms: dict[int, GaussianRational] = {}
+        if type(other) is int:  # the integer sign and combinatorial factors
+            if other == 1:
+                return self
+            if not other:
+                return ZERO
+            terms: dict[int, GaussianRational] = {}
+            for exp, coeff in self._terms.items():
+                a, b, d = coeff._abd
+                terms[exp] = _reduced(a * other, b * other, d)
+            return _scalar(terms)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        terms = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 add_into(terms, e1 + e2, c1 * c2)
-        return Scalar(terms)
+        return _scalar(terms)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> Scalar:
-        return Scalar({exp: -coeff for exp, coeff in self._terms.items()})
+        return _scalar({exp: -coeff for exp, coeff in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -243,7 +290,8 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction, GaussianRational)):
-        return Scalar({0: _as_gauss(value)})
+        coeff = _as_gauss(value)
+        return _scalar({0: coeff} if coeff else {})
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 

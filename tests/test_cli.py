@@ -124,7 +124,7 @@ def test_verify_parse_error_names_position(capsys, tmp_path):
     bad.write_text("algebra demo\nkind table\n\nbasis:\n  A 0,0\n")
     code, out, err = run(capsys, "verify", "--file", str(bad), "--table", "x")
     assert code == 2
-    assert f"{bad}:5:1:" in err
+    assert f"{bad}:5:3:" in err
 
 
 def test_extract_matches_reference_table(capsys):

@@ -116,6 +116,22 @@ def test_error_column_is_the_offending_character(kind, section, line, col):
     assert (err.value.line, err.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("kind, basis, section, line, col, reason", [
+    ("table", "  A (0,0)", "table:\n  [A, C] = A", 8, 7, "unknown basis label 'C'"),
+    ("table", "  A (0,0)\n   B (0,2)", "table:\n  [A, A] = A", 6, 4, "expected 'basis element"),
+    ("table", "  A (0,1)", "table:\n  [A, A] = A", 8, 3, "must be written {A, B}"),
+    ("d-module", "  A (0,0)", "operators:\n  A dt", 8, 3, "expected 'name = expression'"),
+], ids=["unknown-label", "basis-line", "delimiter", "no-equals"])
+def test_whole_line_errors_point_past_the_indentation(kind, basis, section, line, col, reason):
+    # checks that judge a whole line or its bracket head report the column
+    # where that text starts, not column 1
+    text = f"algebra demo\nkind {kind}\n\nbasis:\n{basis}\n\n{section}\n"
+    with pytest.raises(ParseError) as err:
+        parse_definition(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert reason in err.value.reason
+
+
 def test_zero_expression_parses():
     op = parse_operator_expr("0")
     assert op.is_zero

@@ -1,6 +1,7 @@
 """Exact scalar ring: Gaussian rationals and lam-polynomials."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -104,3 +105,152 @@ def test_scalar_evaluation_is_a_ring_map(a, point):
     b = 3 * LAM + I
     assert (a * b).eval_lam(point) == a.eval_lam(point) * b.eval_lam(point)
     assert (a + b).eval_lam(point) == a.eval_lam(point) + b.eval_lam(point)
+
+
+# -- independent oracle: plain (Fraction, Fraction) pair arithmetic --------
+
+pair_parts = st.fractions(min_value=-400, max_value=400, max_denominator=60)
+pairs = st.tuples(pair_parts, pair_parts)
+
+
+def pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pair_div(x, y):
+    norm = y[0] ** 2 + y[1] ** 2
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def pair_str(x):
+    re, im = x
+    if not im:
+        return str(re)
+    imag = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    if not re:
+        return imag
+    return f"({re}{'' if imag.startswith('-') else '+'}{imag})"
+
+
+def as_pair(value):
+    return (value.re, value.im)
+
+
+def assert_reduced(value):
+    # the kernel's own invariant: (a + b*i)/d with d > 0 and gcd(a, b, d) == 1
+    a, b, d = value._abd
+    assert d > 0 and gcd(a, b, d) == 1
+
+
+@given(pairs, pairs)
+def test_gaussian_rational_matches_pair_arithmetic(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    results = {
+        "+": (gx + gy, (x[0] + y[0], x[1] + y[1])),
+        "-": (gx - gy, (x[0] - y[0], x[1] - y[1])),
+        "*": (gx * gy, pair_mul(x, y)),
+        "neg": (-gx, (-x[0], -x[1])),
+        "conjugate": (gx.conjugate(), (x[0], -x[1])),
+    }
+    if y != (0, 0):
+        results["/"] = (gx / gy, pair_div(x, y))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx / gy
+    for op, (value, expected) in results.items():
+        assert as_pair(value) == expected, op
+        assert value == GaussianRational(*expected), op
+        assert str(value) == pair_str(expected), op
+        assert bool(value) == (expected != (0, 0)), op
+        assert hash(value) == hash(expected), op
+        assert_reduced(value)
+    assert (gx == gy) == (x == y)
+    assert (gx == x[0]) == (x[1] == 0)
+    assert str(gx) == pair_str(x)
+
+
+@given(pairs, st.integers(min_value=-12, max_value=12), pair_parts)
+def test_gaussian_rational_mixes_with_ints_and_fractions(x, k, q):
+    gx = GaussianRational(*x)
+    assert as_pair(gx * k) == as_pair(k * gx) == (x[0] * k, x[1] * k)
+    assert as_pair(gx + k) == as_pair(k + gx) == (x[0] + k, x[1])
+    assert as_pair(k - gx) == (k - x[0], -x[1])
+    assert as_pair(gx - q) == (x[0] - q, x[1])
+    assert (GaussianRational(q) == q) and (q == GaussianRational(q))
+
+
+# a lam-polynomial as {exponent: (re, im)}, nonzero coefficients only
+pair_polys = st.dictionaries(st.integers(min_value=0, max_value=4), pairs, max_size=4)
+
+
+def poly_clean(poly):
+    return {exp: c for exp, c in poly.items() if c != (0, 0)}
+
+
+def poly_scalar(poly):
+    return Scalar({exp: GaussianRational(*c) for exp, c in poly.items()})
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for exp, c in q.items():
+        old = out.get(exp, (0, 0))
+        out[exp] = (old[0] + c[0], old[1] + c[1])
+    return poly_clean(out)
+
+
+def poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            old = out.get(e1 + e2, (0, 0))
+            prod = pair_mul(c1, c2)
+            out[e1 + e2] = (old[0] + prod[0], old[1] + prod[1])
+    return poly_clean(out)
+
+
+def scalar_pairs(scalar):
+    return {exp: as_pair(c) for exp, c in scalar.items()}
+
+
+@given(pair_polys, pair_polys, st.integers(min_value=-6, max_value=6))
+def test_scalar_matches_pair_polynomials(p, q, k):
+    p, q = poly_clean(p), poly_clean(q)
+    sp, sq = poly_scalar(p), poly_scalar(q)
+    assert scalar_pairs(sp) == p
+    assert scalar_pairs(sp + sq) == poly_add(p, q)
+    assert scalar_pairs(sp * sq) == poly_mul(p, q)
+    assert scalar_pairs(sp * k) == scalar_pairs(k * sp) == poly_mul(p, {0: (k, 0)})
+    assert (sp == sq) == (p == q)
+    for value in (sp + sq, sp * sq, sp * k):
+        for _, c in value.items():
+            assert c
+            assert_reduced(c)
+
+
+def test_equal_values_have_one_triple_and_one_hash():
+    values = [GaussianRational(Fraction(2, 4)),
+              GaussianRational(Fraction(1, 3)) + GaussianRational(Fraction(1, 6)),
+              GaussianRational(Fraction(1, 2))]
+    assert values[0] == values[1] == values[2] == Fraction(1, 2)
+    assert len({v._abd for v in values}) == 1
+    assert len({hash(v) for v in values}) == 1
+    assert hash(values[0]) == hash((Fraction(1, 2), Fraction(0)))
+
+
+def test_denominator_stays_positive():
+    for value in (GaussianRational(Fraction(-1, 3), Fraction(2, -5)),
+                  GaussianRational(1) / GaussianRational(0, -3),
+                  GaussianRational(-2, 1) / GaussianRational(-4, -2),
+                  -GaussianRational(Fraction(1, 7)),
+                  GaussianRational(Fraction(3, 4)) * -6):
+        assert_reduced(value)
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        GaussianRational(0.5)
+    with pytest.raises(TypeError):
+        GaussianRational(1, 0.5)
+    with pytest.raises(TypeError):
+        GaussianRational(1) * 0.5
