@@ -6,11 +6,11 @@ entries are stored for index pairs i <= j and the graded antisymmetry
 
     [[x, y]] = -koszul_sign(deg x, deg y) [[y, x]]
 
-supplies the rest.  A Realization maps the same labels to concrete
-operators (matrix differential operators or graded vector fields);
-extraction re-derives the table from operator brackets by exact linear
-solving, and verification replays every bracket against the table and
-reports residuals instead of ever auto-correcting them.
+supplies the rest, once per table.  A Realization maps the same labels
+to concrete operators (matrix differential operators or graded vector
+fields); extraction re-derives the table from operator brackets by
+exact linear solving, and verification replays every bracket against
+the table and reports residuals instead of ever auto-correcting them.
 """
 
 from __future__ import annotations
@@ -126,6 +126,11 @@ class BracketTable:
                 )
             clean[(i, j)] = entry
         self.constants = clean
+        self._signed = dict(clean)  # every ordered pair: (j, i) by graded antisymmetry
+        for (i, j), entry in clean.items():
+            if i < j:
+                sign = -koszul_sign(self.basis[j][1], self.basis[i][1])
+                self._signed[(j, i)] = tuple((t, c * sign) for t, c in entry)
 
     # -- queries ---------------------------------------------------------------
     def __len__(self) -> int:
@@ -136,10 +141,7 @@ class BracketTable:
 
     def bracket(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         """[[basis_i, basis_j]] as ((target index, coefficient), ...)."""
-        if i <= j:
-            return self.constants.get((i, j), ())
-        sign = -koszul_sign(self.basis[i][1], self.basis[j][1])
-        return tuple((t, c * sign) for t, c in self.constants.get((j, i), ()))
+        return self._signed.get((i, j), ())
 
     def bracket_by_label(self, la: str, lb: str) -> tuple[tuple[int, Scalar], ...]:
         return self.bracket(self.index[la], self.index[lb])

@@ -1,6 +1,6 @@
 """The sparse linear-combination core shared by every value type.
 
-Weyl operators, graded polynomials, graded vector fields, bracket-table
+Weyl and matrix operators, graded polynomials and vector fields, table
 entries, residuals and lam-polynomials are all finite sums held as a dict
 {key: nonzero coefficient}.  This module owns what they have in common:
 
@@ -86,18 +86,22 @@ class LinComb(Frozen):
         pass
 
     def __add__(self, other):
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def _sum(self, other, negate: bool):
+        """self + other, or self - other, in one pass over other's terms."""
         self._check(other)
         if not self.terms:  # a zero summand leaves the other as it is, degree included
-            return other
+            return -other if negate else other
         if not other.terms:
             return self
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            add_into(terms, key, coeff)
+            add_into(terms, key, -coeff if negate else coeff)
         return self._like(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return self._like({key: -coeff for key, coeff in self.terms.items()})

@@ -2,13 +2,14 @@
 
 Operators are finite sums of normally ordered monomials
 t^pt * x^px * dt^dt * dx^dx (all polynomial factors to the left of all
-derivatives) with Scalar coefficients.  ``compose`` re-normal-orders a
-product with the exchange rule
+derivatives) with Scalar coefficients.  ``mono_product`` re-normal-orders
+a product of two monomials with the exchange rule
 
     dt^m . t^n = sum_k C(m,k) * n!/(n-k)! * t^(n-k) * dt^(m-k)
 
-and ``apply`` differentiates a polynomial directly; the two must agree
-on every polynomial, which the tests use as a cross-check.
+which ``compose`` here and ``matop.compose`` sum over pairs of terms.
+``apply`` differentiates a polynomial directly; compose and apply must
+agree on every polynomial, which the tests use as a cross-check.
 """
 
 from __future__ import annotations
@@ -103,16 +104,21 @@ def _exchange(d_exp: int, p_exp: int):
         yield comb(d_exp, k) * perm(p_exp, k), p_exp - k, d_exp - k
 
 
+def mono_product(lm: WeylMonomial, rm: WeylMonomial):
+    """The normally ordered product lm . rm, as (int coefficient, monomial) terms."""
+    for ct, et, dt in _exchange(lm.dt, rm.pt):
+        for cx, ex, dx in _exchange(lm.dx, rm.px):
+            yield ct * cx, WeylMonomial(lm.pt + et, lm.px + ex, dt + rm.dt, dx + rm.dx)
+
+
 def compose(left: DiffOp, right: DiffOp) -> DiffOp:
     """Normal ordering of the operator product left . right."""
     terms: dict[WeylMonomial, Scalar] = {}
     for lm, lc in left.terms.items():
         for rm, rc in right.terms.items():
             coeff = lc * rc
-            for ct, et, dt in _exchange(lm.dt, rm.pt):
-                for cx, ex, dx in _exchange(lm.dx, rm.px):
-                    mono = WeylMonomial(lm.pt + et, lm.px + ex, dt + rm.dt, dx + rm.dx)
-                    add_into(terms, mono, coeff * (ct * cx))
+            for factor, mono in mono_product(lm, rm):
+                add_into(terms, mono, coeff * factor)
     return DiffOp(terms)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from colorlie.grading import D00, D01, D10, D11
 from colorlie.scalars import I, LAM, Scalar, rational
-from colorlie import weyl
+from colorlie import corpus, weyl
 from colorlie.algebra import (
     BasisMismatch,
     BracketTable,
@@ -240,3 +240,19 @@ def test_realization_validation():
         Realization([("h", D01)], {"h": h})  # degree mismatch
     with pytest.raises(ValueError):
         Realization([("h", D00)], {"h": h, "extra": h})
+
+
+@pytest.mark.parametrize("table_id", ["g121.table", "g121.table_pm", "g22.table",
+                                      "g22.table_pm", "n1.table"])
+def test_bracket_flips_the_stored_constants_for_every_ordered_pair(table_id):
+    table = corpus.load(table_id).payload["table"]
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            if i <= j:
+                expected = table.constants.get((i, j), ())
+            else:
+                di, dj = table.basis[i][1], table.basis[j][1]
+                sign = (-1) ** (1 + di.a1 * dj.a1 + di.a2 * dj.a2)  # -(-1)^<di, dj>
+                expected = tuple((t, c * sign) for t, c in table.constants.get((j, i), ()))
+            assert table.bracket(i, j) == expected, (table_id, i, j)

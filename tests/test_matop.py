@@ -1,10 +1,12 @@
 """Matrix differential operators and their graded brackets."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from colorlie.grading import D00, D01, D10, D11, koszul_sign
 from colorlie import matop, weyl
 from colorlie.matop import IDENTITY, MatDiffOp, elem, graded_bracket, scalar_op
+from colorlie.scalars import GaussianRational, Scalar
 from colorlie.weyl import DT, DX, T, X, DiffOp, WeylMonomial
 
 
@@ -82,3 +84,73 @@ def test_coordinate_vector_separates_lam_degrees():
     assert coords[(0, 0, t_mono, 0)] == 1
     assert (2, 2, unit, 1) in coords
     assert len(coords) == 8
+
+
+def test_constructor_rejects_bad_positions_and_exponents():
+    unit = WeylMonomial(0, 0, 0, 0)
+    for row, col in [(4, 0), (0, 4), (-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match="outside"):
+            MatDiffOp({(row, col, unit): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MatDiffOp({(0, 1, (0, -1, 0, 0)): 1})
+    # zero coefficients are dropped; the stored key is a WeylMonomial
+    op = MatDiffOp({(1, 2, (1, 0, 0, 2)): 3, (0, 0, unit): 0})
+    assert list(op.terms) == [(1, 2, WeylMonomial(1, 0, 0, 2))]
+
+
+def test_entries_is_the_dense_view_of_the_sparse_terms():
+    op = elem(1, 3) + elem(2, 2) * scalar_op(T * DX + DT)
+    assert op.entries[0][2] == weyl.ONE
+    assert op.entries[1][1] == T * DX + DT
+    assert sum(not d.is_zero for row in op.entries for d in row) == 2
+    assert [(i, j) for i, j, _ in op.nonzero_entries()] == [(0, 2), (1, 1)]
+
+
+# -- random sparse operators --------------------------------------------------
+
+exps = st.integers(min_value=0, max_value=2)
+positions = st.integers(min_value=0, max_value=3)
+coeffs = st.builds(lambda re, im, exp: Scalar.lam_power(exp, GaussianRational(re, im)),
+                   st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1))
+degrees = st.sampled_from([D00, D01, D10, D11])
+mat_ops = st.builds(
+    MatDiffOp,
+    st.dictionaries(st.tuples(positions, positions, st.builds(WeylMonomial, exps, exps, exps, exps)),
+                    coeffs, max_size=5),
+    degrees)
+polys = st.dictionaries(st.tuples(exps, exps), coeffs, max_size=3).map(
+    lambda terms: DiffOp({WeylMonomial(pt, px, 0, 0): c for (pt, px), c in terms.items()}))
+columns = st.lists(polys, min_size=4, max_size=4)
+
+
+@given(mat_ops, mat_ops, columns)
+def test_composition_acts_as_successive_application(a, b, col):
+    assert matop.apply(a * b, col) == matop.apply(a, matop.apply(b, col))
+
+
+@given(mat_ops, mat_ops)
+def test_compose_matches_the_dense_cell_product(a, b):
+    left, right, product = a.entries, b.entries, (a * b).entries
+    for i in range(4):
+        for k in range(4):
+            cell = weyl.ZERO
+            for j in range(4):
+                cell = cell + weyl.compose(left[i][j], right[j][k])
+            assert product[i][k] == cell
+
+
+@given(mat_ops, mat_ops)
+def test_difference_is_sum_with_the_negation(a, b):
+    if a.is_zero or b.is_zero or a.degree == b.degree:
+        assert a - b == a + (-b)
+    else:
+        for combine in (lambda: a - b, lambda: a + (-b)):
+            with pytest.raises(ValueError):
+                combine()
+
+
+@given(mat_ops, mat_ops)
+def test_bracket_is_graded_antisymmetric(a, b):
+    lhs = graded_bracket(a, b)
+    assert lhs == graded_bracket(b, a).scale(-koszul_sign(a.degree, b.degree))
+    assert lhs.degree == a.degree + b.degree
