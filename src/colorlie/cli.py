@@ -103,7 +103,7 @@ def _load_definition_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_definition(text)
@@ -189,19 +189,15 @@ def _run_parallel(worker, payloads: list, subject: str) -> DiscrepancyReport:
     return report
 
 
-def _emit_pair_report(report: DiscrepancyReport, fmt: str, generators: int,
-                      unit: str) -> str:
-    if fmt == "text":
-        if report.ok:
-            head = (f"{report.subject}: {generators} generators, "
-                    f"{report.checked} {unit} verified")
-            return head + "\n"
-        head = (f"{report.subject}: {generators} generators, "
-                f"{report.checked} {unit} checked, "
-                f"{len(report.entries)} discrepancies")
-        lines = [head] + [f"  {item}" for item in report.entries]
-        return "\n".join(lines) + "\n"
-    return emit_report(report, fmt)
+def _emit_checks(report: DiscrepancyReport, fmt: str, counted: str, problems: str) -> str:
+    """Text: '<subject>: <counted> verified', or '... checked, N <problems>' and the entries."""
+    if fmt != "text":
+        return emit_report(report, fmt)
+    if report.ok:
+        return f"{report.subject}: {counted} verified\n"
+    lines = [f"{report.subject}: {counted} checked, {len(report.entries)} {problems}"]
+    lines += [f"  {item}" for item in report.entries]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_verify(args) -> int:
@@ -210,7 +206,9 @@ def _cmd_verify(args) -> int:
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     payloads = [(real, table, chunk) for chunk in _chunks(pairs, args.jobs)]
     report = _run_parallel(_verify_chunk, payloads, subject)
-    sys.stdout.write(_emit_pair_report(report, args.format, n, "unordered pairs"))
+    sys.stdout.write(_emit_checks(report, args.format,
+                                  f"{n} generators, {report.checked} unordered pairs",
+                                  "discrepancies"))
     return 0 if report.ok else 1
 
 
@@ -244,16 +242,7 @@ def _cmd_jacobi(args) -> int:
     triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     payloads = [(table, chunk) for chunk in _chunks(triples, args.jobs)]
     report = _run_parallel(_jacobi_chunk, payloads, subject)
-    if args.format == "text":
-        if report.ok:
-            sys.stdout.write(f"{subject}: {report.checked} triples verified\n")
-        else:
-            lines = [f"{subject}: {report.checked} triples checked, "
-                     f"{len(report.entries)} failures"]
-            lines += [f"  {item}" for item in report.entries]
-            sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(emit_report(report, args.format))
+    sys.stdout.write(_emit_checks(report, args.format, f"{report.checked} triples", "failures"))
     return 0 if report.ok else 1
 
 

@@ -22,7 +22,7 @@ class Degree:
             raise ValueError(f"degree components must be bits, got ({self.a1},{self.a2})")
 
     def __add__(self, other: Degree) -> Degree:
-        return Degree((self.a1 + other.a1) % 2, (self.a2 + other.a2) % 2)
+        return DEGREES[2 * (self.a1 ^ other.a1) + (self.a2 ^ other.a2)]
 
     def dot(self, other: Degree) -> int:
         return (self.a1 * other.a1 + self.a2 * other.a2) % 2

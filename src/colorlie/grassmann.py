@@ -166,9 +166,6 @@ class GradedPoly(LinComb):
         setslot(self, "terms", clean)
 
     # -- ring structure ------------------------------------------------------
-    def _like(self, terms) -> GradedPoly:
-        return GradedPoly(self.ctx, terms)
-
     def _check(self, other: GradedPoly):
         if self.ctx != other.ctx:
             raise ValueError("polynomials belong to different variable contexts")
@@ -183,7 +180,7 @@ class GradedPoly(LinComb):
                 sign, mono = mono_mul(self.ctx, lm, rm)
                 if mono is not None:
                     add_into(terms, mono, lc * rc * sign)
-        return GradedPoly(self.ctx, terms)
+        return GradedPoly._of(self.ctx, terms)
 
     # -- queries -----------------------------------------------------------
     def homogeneous_degree(self) -> Union[Degree, None]:
@@ -232,7 +229,7 @@ def graded_derivative(var: Union[GradedVariable, str], poly: GradedPoly) -> Grad
             continue
         factor, rest = hit
         add_into(terms, rest, coeff * factor)
-    return GradedPoly(ctx, terms)
+    return GradedPoly._of(ctx, terms)
 
 
 def berezin_integral(var: Union[GradedVariable, str], poly: GradedPoly) -> GradedPoly:

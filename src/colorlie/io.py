@@ -132,6 +132,8 @@ _CONSTANTS = {"i": scalars.I, "lam": scalars.LAM}
 _MATRIX_ATOMS = {name: matop.scalar_op(base)
                  for name, base in (("t", weyl.T), ("x", weyl.X), ("dt", weyl.DT), ("dx", weyl.DX))}
 _OPERATORS = (MatDiffOp, GradedDiffOp)
+#: deepest parenthesis nesting (the corpus uses 3); keeps the recursion shallow
+_MAX_NESTING = 64
 
 
 def _promote(scalar: Scalar, context: Union[VarContext, None]):
@@ -198,6 +200,7 @@ class _ExprParser:
                  labels: Union[Sequence[str], None] = None):
         self.tokens = tokenize(text, line, col)
         self.pos = 0
+        self.depth = 0
         self.ctx = context
         self.defs = definitions or {}
         self.labels = labels
@@ -301,8 +304,13 @@ class _ExprParser:
                 return self.partial(var.value, token)
             return self.resolve(token)
         if token.kind == "sym" and token.value == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {_MAX_NESTING}",
+                                 token.line, token.col)
+            self.depth += 1
             value = self.parse_expression()
             self.expect_sym(")")
+            self.depth -= 1
             return value
         raise ParseError(f"expected a value, found {token.value!r}" if token.kind != "end"
                          else "unexpected end of expression", token.line, token.col)

@@ -9,6 +9,10 @@ entries, residuals and lam-polynomials are all finite sums held as a dict
 * ``LinComb`` -- the linear structure of a ``terms`` dict;
 * ``term_text`` and ``signed_sum`` -- the one term printer;
 * ``graded_bracket`` -- the one Koszul sign rule.
+
+Construction rule: public constructors (``DiffOp(...)``, ``GradedDiffOp(...)``,
+...) validate outside input; internal results, computed from valid values,
+go through ``Frozen._of``, which sets the slots unchecked, as unpickling does.
 """
 
 from __future__ import annotations
@@ -59,6 +63,13 @@ class Frozen:
         for name, value in zip(self._fields, state):
             setslot(self, name, value)
 
+    @classmethod
+    def _of(cls, *slots):
+        """The value with these slot values, unchecked: the trusted builder."""
+        new = object.__new__(cls)
+        new.__setstate__(slots)
+        return new
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -70,17 +81,17 @@ class Frozen:
 
 
 class LinComb(Frozen):
-    """A sparse sum: the slot ``terms`` maps keys to nonzero Scalars.
+    """A sparse sum: the slot ``terms``, declared last, maps keys to nonzero Scalars.
 
-    Subclasses define ``_like(terms)``, a new element over the same
-    context (variables, degree), and may define ``_check(other)``, which
-    raises ValueError when ``other`` cannot be added to ``self``.
+    Subclasses may define ``_check(other)``, which raises ValueError when
+    ``other`` cannot be added to ``self``.
     """
 
     __slots__ = ()
 
     def _like(self, terms: dict):
-        raise NotImplementedError
+        """A new element over the same context (variables, degree)."""
+        return self._of(*self.__getstate__()[:-1], terms)
 
     def _check(self, other) -> None:
         pass
@@ -107,7 +118,8 @@ class LinComb(Frozen):
         return self._like({key: -coeff for key, coeff in self.terms.items()})
 
     def scale(self, factor):
-        return self._like({key: coeff * factor for key, coeff in self.terms.items()})
+        return self._like({key: product for key, coeff in self.terms.items()
+                           if (product := coeff * factor)})
 
     def __rmul__(self, other):
         # scalar * element; element * element goes through __mul__

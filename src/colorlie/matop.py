@@ -46,12 +46,9 @@ class MatDiffOp(LinComb):
         return cls({}, degree)
 
     def with_degree(self, degree: Degree) -> MatDiffOp:
-        return MatDiffOp(self.terms, degree)
+        return MatDiffOp._of(degree, self.terms)
 
     # -- linear structure (sums, negation and scaling are LinComb's) ----------
-    def _like(self, terms) -> MatDiffOp:
-        return MatDiffOp(terms, self.degree)
-
     def _check(self, other: MatDiffOp) -> None:
         if self.terms and other.terms and self.degree != other.degree:
             raise ValueError(
@@ -73,7 +70,7 @@ class MatDiffOp(LinComb):
         for row, col, mono in sorted(self.terms):
             cells.setdefault((row, col), {})[mono] = self.terms[(row, col, mono)]
         for (row, col), terms in cells.items():
-            yield row, col, DiffOp(terms)
+            yield row, col, DiffOp._of(terms)
 
     @property
     def entries(self) -> tuple[tuple[DiffOp, ...], ...]:
@@ -122,7 +119,7 @@ def compose(left: MatDiffOp, right: MatDiffOp) -> MatDiffOp:
             coeff = lc * rc
             for factor, mono in weyl.mono_product(lm, rm):
                 add_into(terms, (i, k, mono), coeff * factor)
-    return MatDiffOp(terms, left.degree + right.degree)
+    return MatDiffOp._of(left.degree + right.degree, terms)
 
 
 def graded_bracket(a: MatDiffOp, b: MatDiffOp) -> MatDiffOp:

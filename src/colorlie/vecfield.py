@@ -7,8 +7,10 @@ d/d(v) carries the degree of v and obeys the graded Leibniz exchange
     d_v . f = (d_v f) + koszul_sign(deg v, deg f) * f . d_v
 
 for homogeneous f, which is exactly how ``compose`` normal-orders
-products.  Every stored term must match the declared degree; a mismatch
-is a hard error rather than a warning.
+products.  ``GradedDiffOp(...)`` refuses a term whose degree differs from
+the declared one.  Composition preserves degree by construction (degrees
+add, and each exchange step keeps them), so ``compose`` and ``multiplier``
+build their results through the trusted ``_of`` without re-checking.
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ class GradedDiffOp(LinComb):
             raise ValueError("operators belong to different variable contexts")
 
     # -- linear structure --------------------------------------------------
-    def _like(self, terms) -> GradedDiffOp:
-        return GradedDiffOp(self.ctx, self.degree, terms)
-
     def _check(self, other: GradedDiffOp):
         self._check_ctx(other)
         if self.terms and other.terms and self.degree != other.degree:
@@ -133,7 +132,7 @@ def multiplier(poly: GradedPoly) -> GradedDiffOp:
     degree = poly.homogeneous_degree()
     if degree is None:
         return zero(poly.ctx, D00)
-    return GradedDiffOp(poly.ctx, degree, {(mono, UNIT): c for mono, c in poly.terms.items()})
+    return GradedDiffOp._of(poly.ctx, degree, {(mono, UNIT): c for mono, c in poly.terms.items()})
 
 
 def _partial_left(ctx: VarContext, index: int, terms: dict[OpTerm, Scalar]) -> dict[OpTerm, Scalar]:
@@ -171,7 +170,7 @@ def compose(left: GradedDiffOp, right: GradedDiffOp) -> GradedDiffOp:
                 sign, merged = mono_mul(ctx, lmono, mono)
                 if merged is not None:
                     add_into(result, (merged, parts), lcoeff * coeff * sign)
-    return GradedDiffOp(ctx, left.degree + right.degree, result)
+    return GradedDiffOp._of(ctx, left.degree + right.degree, result)
 
 
 def graded_bracket(a: GradedDiffOp, b: GradedDiffOp) -> GradedDiffOp:
@@ -200,5 +199,5 @@ def apply(op: GradedDiffOp, poly: GradedPoly) -> GradedPoly:
                 break
         if value.is_zero:
             continue
-        out = out + GradedPoly(ctx, {mono: coeff}) * value
+        out = out + GradedPoly._of(ctx, {mono: coeff}) * value
     return out

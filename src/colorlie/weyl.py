@@ -59,9 +59,6 @@ class DiffOp(LinComb):
         return cls({_UNIT: as_scalar(coeff)})
 
     # -- ring structure ----------------------------------------------------
-    def _like(self, terms) -> DiffOp:
-        return DiffOp(terms)
-
     def __mul__(self, other) -> DiffOp:
         """Operator composition self . other; scalars scale instead."""
         if isinstance(other, DiffOp):
@@ -119,7 +116,7 @@ def compose(left: DiffOp, right: DiffOp) -> DiffOp:
             coeff = lc * rc
             for factor, mono in mono_product(lm, rm):
                 add_into(terms, mono, coeff * factor)
-    return DiffOp(terms)
+    return DiffOp._of(terms)
 
 
 def apply(op: DiffOp, poly: DiffOp) -> DiffOp:
@@ -139,4 +136,4 @@ def apply(op: DiffOp, poly: DiffOp) -> DiffOp:
             factor = perm(pm.pt, om.dt) * perm(pm.px, om.dx)
             mono = WeylMonomial(om.pt + pm.pt - om.dt, om.px + pm.px - om.dx, 0, 0)
             add_into(terms, mono, oc * pc * factor)
-    return DiffOp(terms)
+    return DiffOp._of(terms)

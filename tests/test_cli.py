@@ -127,6 +127,24 @@ def test_verify_parse_error_names_position(capsys, tmp_path):
     assert f"{bad}:5:3:" in err
 
 
+@pytest.mark.parametrize("argv", [["jacobi"], ["extract"], ["verify", "--table", "g22.table"]],
+                         ids=["jacobi", "extract", "verify"])
+def test_non_utf8_file_is_a_read_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"algebra x\nkind table\n\xff\n")
+    code, out, err = run(capsys, *argv, "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "deep.txt"
+    bad.write_text(GOOD_TABLE.replace("= -A", "= -" + "(" * 300 + "A" + ")" * 300))
+    code, out, err = run(capsys, "jacobi", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert f"{bad}:9:77: parentheses nest deeper than 64" in err
+
+
 def test_extract_matches_reference_table(capsys):
     code, out, err = run(capsys, "extract", "--algebra", "n1",
                          "--realization", "dmodule", "--format", "json")

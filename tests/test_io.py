@@ -7,7 +7,7 @@ import pytest
 from colorlie.algebra import BracketTable
 from colorlie.grading import Degree
 from colorlie.grassmann import VarContext
-from colorlie.io import (CorpusEntry, ParseError, emit_definition, emit_report,
+from colorlie.io import (_MAX_NESTING, CorpusEntry, ParseError, emit_definition, emit_report,
                          emit_table, parse_combination, parse_definition,
                          parse_operator_expr, parse_scalar_expr, table_from_json,
                          table_to_dict)
@@ -130,6 +130,24 @@ def test_whole_line_errors_point_past_the_indentation(kind, basis, section, line
         parse_definition(text)
     assert (err.value.line, err.value.col) == (line, col)
     assert reason in err.value.reason
+
+
+@pytest.mark.parametrize("kind, section", [
+    ("table", "table:\n  [A, B] = {open}A{close}"),
+    ("d-module", "operators:\n  A = {open}1 + dt{close}\n  B = dx"),
+], ids=["table", "operators"])
+def test_deep_nesting_is_refused_at_the_parenthesis_past_the_bound(kind, section):
+    # the corpus nests 3 deep; past the bound the parser stops at the '('
+    # rather than recursing until Python's recursion limit
+    template = f"algebra demo\nkind {kind}\n\nbasis:\n  A (0,0)\n  B (0,0)\n\n{section}\n"
+    ok = template.format(open="(" * _MAX_NESTING, close=")" * _MAX_NESTING)
+    assert parse_definition(ok).kind == kind
+    for depth in (_MAX_NESTING + 1, 300, 5000):
+        text = template.format(open="(" * depth, close=")" * depth)
+        with pytest.raises(ParseError, match="nest deeper") as err:
+            parse_definition(text)
+        first = text.splitlines()[8].index("(") + 1
+        assert (err.value.line, err.value.col) == (9, first + _MAX_NESTING)
 
 
 def test_zero_expression_parses():
