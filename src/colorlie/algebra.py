@@ -15,8 +15,7 @@ the table and reports residuals instead of ever auto-correcting them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .grading import Degree, koszul_sign
 from .lincomb import add_into, signed_sum, term_text
@@ -196,8 +195,7 @@ class BracketTable:
         return self.restrict(labels)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     kind: str
     labels: tuple[str, ...]
     expected: str
@@ -209,18 +207,14 @@ class Discrepancy:
         return f"[{who}] expected {self.expected}; computed {self.computed}; residual {self.residual}"
 
 
-@dataclass
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     subject: str
     checked: int = 0
-    entries: list[Discrepancy] = field(default_factory=list)
+    entries: Sequence[Discrepancy] = ()
 
     @property
     def ok(self) -> bool:
         return not self.entries
-
-    def merge(self, other: DiscrepancyReport) -> DiscrepancyReport:
-        return DiscrepancyReport(self.subject, self.checked + other.checked, self.entries + other.entries)
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.entries)} discrepancies"
@@ -338,7 +332,7 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
     n = len(table.basis)
     if triples is None:
         triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    report = DiscrepancyReport(subject="graded Jacobi")
+    entries = []
     for i, j, k in triples:
         a = table.basis[i][1]
         b = table.basis[j][1]
@@ -353,12 +347,11 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
         accumulate(i, (j, k), koszul_sign(a, c))
         accumulate(j, (k, i), koszul_sign(b, a))
         accumulate(k, (i, j), koszul_sign(c, b))
-        report.checked += 1
         if acc:
             residual = table.combo_str(sorted(acc.items()))
             labels = (table.basis[i][0], table.basis[j][0], table.basis[k][0])
-            report.entries.append(Discrepancy("jacobi", labels, "0", residual, residual))
-    return report
+            entries.append(Discrepancy("jacobi", labels, "0", residual, residual))
+    return DiscrepancyReport("graded Jacobi", len(triples), tuple(entries))
 
 
 def _diagnose_failure(pair, columns, target, base_solver_residual):
@@ -432,11 +425,10 @@ def compare_tables(expected: BracketTable, computed: BracketTable) -> Discrepanc
         raise BasisMismatch(
             f"bases differ: {expected.basis!r} vs {computed.basis!r}"
         )
-    report = DiscrepancyReport(subject="table comparison")
+    entries = []
     n = len(expected.basis)
     for i in range(n):
         for j in range(i, n):
-            report.checked += 1
             left = expected.constants.get((i, j), ())
             right = computed.constants.get((i, j), ())
             if left == right:
@@ -445,12 +437,12 @@ def compare_tables(expected: BracketTable, computed: BracketTable) -> Discrepanc
             for target, coeff in right:
                 add_into(delta, target, -coeff)
             labels = (expected.basis[i][0], expected.basis[j][0])
-            report.entries.append(Discrepancy(
+            entries.append(Discrepancy(
                 "table", labels,
                 expected.combo_str(left), computed.combo_str(right),
                 expected.combo_str(sorted(delta.items())),
             ))
-    return report
+    return DiscrepancyReport("table comparison", n * (n + 1) // 2, tuple(entries))
 
 
 def weights(table: BracketTable, grading_labels: Sequence[str]) -> dict[str, tuple[Scalar, ...]]:
@@ -501,7 +493,7 @@ def verify_realization(real: Realization, table: BracketTable,
     n = len(labels)
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    report = DiscrepancyReport(subject="realization vs table")
+    entries = []
     for i, j in pairs:
         computed = real.op(labels[i]).bracket(real.op(labels[j]))
         entry = table.constants.get((i, j), ())
@@ -510,13 +502,12 @@ def verify_realization(real: Realization, table: BracketTable,
             piece = real.op(labels[target]).scale(coeff)
             expected = piece if expected is None else expected + piece
         residual = computed if expected is None else computed - expected
-        report.checked += 1
         if not residual.is_zero:
-            report.entries.append(Discrepancy(
+            entries.append(Discrepancy(
                 "bracket", (labels[i], labels[j]),
                 table.combo_str(entry), str(computed), str(residual),
             ))
-    return report
+    return DiscrepancyReport("realization vs table", len(pairs), tuple(entries))
 
 
 def derived_generators(real: Realization, defs: Sequence[tuple[str, tuple[str, str]]]) -> Realization:

@@ -1,17 +1,17 @@
 """Command-line interface: verify, extract, jacobi, weights, split, export.
 
 Exit codes: 0 all checks passed, 1 discrepancies or failures found
-(report on stdout), 2 usage or parse errors (diagnostics on stderr).  The
-``--jobs N`` flag (or the COLORLIE_JOBS environment variable) runs the
-bracket-pair and Jacobi-triple sweeps in a worker pool; output is
-byte-identical for every worker count because chunks are merged in
-index order.
+(report on stdout), 2 usage or parse errors (diagnostics on stderr).
+``--jobs N`` (default 1) runs the bracket-pair and Jacobi-triple sweeps
+in a pool of N worker processes; output is byte-identical for every
+worker count because chunks are merged in index order.  A serial run
+loads neither ``multiprocessing`` nor ``json``: the pool is imported
+only when it is used, and JSON only when a report is written as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
 from typing import Sequence, Union
@@ -21,7 +21,7 @@ from .algebra import (AlgebraError, BracketTable, DiscrepancyReport, NotEigenvec
                       Realization, check_jacobi, extract_structure_constants,
                       triangular_split, verify_realization, weights)
 from .io import (ParseError, emit_definition, emit_extract_failure, emit_report, emit_table,
-                 parse_definition)
+                 json_text, parse_definition)
 
 _FORMATS = ("text", "json", "latex")
 
@@ -38,14 +38,6 @@ def _positive_jobs(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("jobs must be >= 1")
     return value
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("COLORLIE_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "(contains a dot) or definition file path; "
                                         "defaults to the corpus table for corpus realizations")
     verify.add_argument("--format", choices=_FORMATS, default="text")
-    verify.add_argument("--jobs", type=_positive_jobs, default=_default_jobs())
+    verify.add_argument("--jobs", type=_positive_jobs, default=1)
 
     extract = sub.add_parser("extract", help="re-derive structure constants from a realization")
     add_source(extract)
@@ -79,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     jacobi.add_argument("--basis", choices=("standard", "pm"), default="standard")
     jacobi.add_argument("--file", help="table definition file instead of the corpus")
     jacobi.add_argument("--format", choices=_FORMATS, default="text")
-    jacobi.add_argument("--jobs", type=_positive_jobs, default=_default_jobs())
+    jacobi.add_argument("--jobs", type=_positive_jobs, default=1)
 
     weights_p = sub.add_parser("weights", help="grading-operator eigenvalues per basis element")
     weights_p.add_argument("--algebra", choices=corpus.ALGEBRAS, required=True)
@@ -177,16 +169,15 @@ def _jacobi_chunk(payload) -> DiscrepancyReport:
 
 
 def _run_parallel(worker, payloads: list, subject: str) -> DiscrepancyReport:
-    report = DiscrepancyReport(subject=subject)
+    """One report on ``subject`` from the chunks, merged in index order."""
     if len(payloads) == 1:
-        merged = worker(payloads[0])
-        merged.subject = subject
-        return report.merge(merged)
-    with multiprocessing.Pool(len(payloads)) as pool:
-        for partial in pool.map(worker, payloads):
-            report = report.merge(partial)
-    report.subject = subject
-    return report
+        parts = [worker(payloads[0])]
+    else:
+        import multiprocessing
+        with multiprocessing.Pool(len(payloads)) as pool:
+            parts = pool.map(worker, payloads)
+    return DiscrepancyReport(subject, sum(part.checked for part in parts),
+                             tuple(item for part in parts for item in part.entries))
 
 
 def _emit_checks(report: DiscrepancyReport, fmt: str, counted: str, problems: str) -> str:
@@ -276,13 +267,11 @@ def _cmd_weights(args) -> int:
                   for label, _ in table.basis]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        import json as _json
-        payload = {
+        sys.stdout.write(json_text({
             "algebra": args.algebra, "basis": basis, "grading": list(grading),
             "weights": {label: [str(v) for v in computed[label]]
                         for label, _ in table.basis},
-        }
-        sys.stdout.write(_json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        }))
     return 0
 
 
@@ -295,10 +284,9 @@ def _cmd_split(args) -> int:
                   for key in ("positive", "zero", "negative")]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        import json as _json
-        payload = {"algebra": args.algebra, "basis": basis,
-                   "split": {key: split[key] for key in ("positive", "zero", "negative")}}
-        sys.stdout.write(_json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text({
+            "algebra": args.algebra, "basis": basis,
+            "split": {key: split[key] for key in ("positive", "zero", "negative")}}))
     return 0
 
 
@@ -333,13 +321,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except corpus.UnknownId as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except (CliError, corpus.UnknownId, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

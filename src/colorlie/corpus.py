@@ -25,8 +25,8 @@ Entry kinds per algebra:
 
 from __future__ import annotations
 
+import pkgutil
 from functools import lru_cache
-from importlib import resources
 
 from .algebra import BracketTable, Realization, change_basis
 from .io import CorpusEntry, parse_definition
@@ -77,7 +77,7 @@ def ids() -> tuple[str, ...]:
 
 
 def _read_text(name: str) -> str:
-    return (resources.files(__package__) / "defs" / name).read_text(encoding="utf-8")
+    return pkgutil.get_data(__package__, f"defs/{name}").decode("utf-8")
 
 
 @lru_cache(maxsize=None)

@@ -9,17 +9,23 @@ it is -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Degree:
+class _Bits(NamedTuple):
     a1: int
     a2: int
 
-    def __post_init__(self):
-        if self.a1 not in (0, 1) or self.a2 not in (0, 1):
-            raise ValueError(f"degree components must be bits, got ({self.a1},{self.a2})")
+
+class Degree(_Bits):
+    """A pair of bits; ``Degree(a1, a2)`` refuses anything else."""
+
+    __slots__ = ()
+
+    def __new__(cls, a1: int, a2: int):
+        if a1 not in (0, 1) or a2 not in (0, 1):
+            raise ValueError(f"degree components must be bits, got ({a1},{a2})")
+        return super().__new__(cls, a1, a2)
 
     def __add__(self, other: Degree) -> Degree:
         return DEGREES[2 * (self.a1 ^ other.a1) + (self.a2 ^ other.a2)]

@@ -14,8 +14,7 @@ variable against every factor it passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .grading import D00, Degree
 from .lincomb import LinComb, add_into, setslot, signed_sum, term_text
@@ -28,8 +27,7 @@ Monomial = Tuple[Tuple[int, int], ...]
 UNIT: Monomial = ()
 
 
-@dataclass(frozen=True)
-class GradedVariable:
+class GradedVariable(NamedTuple):
     name: str
     degree: Degree
     index: int

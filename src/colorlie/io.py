@@ -33,11 +33,9 @@ column 0 (`basis:`, `operators:`, `derived:`, `table:`, `variables:`,
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .grading import Degree, koszul_sign
 from .lincomb import add_into, signed_sum, term_text
@@ -70,8 +68,7 @@ _IDENT_CONT = re.compile(r"[A-Za-z0-9_~']")
 _SYMBOLS = "+-*/^(),"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | "sym" | "end"
     value: object
     line: int
@@ -422,8 +419,7 @@ _BRACKET_RE = re.compile(r"^([\[{])\s*([A-Za-z_][\w~']*)\s*,\s*([A-Za-z_][\w~']*
 _SPLIT_KEYS = ("positive", "zero", "negative")
 
 
-@dataclass
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One parsed definition file: an algebra id, a kind, and its payload."""
 
     id: str
@@ -803,6 +799,12 @@ def _combo_text(pairs) -> str:
 # JSON
 
 
+def json_text(payload) -> str:
+    """The one JSON writer: two-space indent, sorted keys, a final newline."""
+    import json  # loaded by the first run that writes JSON, not by every import
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _scalar_to_json(scalar: Scalar) -> list[dict]:
     terms = []
     for exp, value in scalar.items():
@@ -851,6 +853,7 @@ def table_from_dict(data: Mapping) -> BracketTable:
 
 
 def table_from_json(text: str) -> BracketTable:
+    import json
     return table_from_dict(json.loads(text))
 
 
@@ -910,10 +913,10 @@ def table_to_latex(table: BracketTable) -> str:
     sectors: dict[tuple[Degree, Degree], list[tuple[int, int]]] = {}
     for (i, j) in sorted(table.constants):
         da, db = table.basis[i][1], table.basis[j][1]
-        key = (da, db) if (da.a1, da.a2) <= (db.a1, db.a2) else (db, da)
+        key = (da, db) if da <= db else (db, da)
         sectors.setdefault(key, []).append((i, j))
     out = ["% nonzero brackets grouped by degree sector"]
-    for (da, db) in sorted(sectors, key=lambda pair: (pair[0].a1, pair[0].a2, pair[1].a1, pair[1].a2)):
+    for (da, db) in sorted(sectors):
         out.append(f"% sector {da} x {db}")
         out.append(r"\begin{align*}")
         opening, closing = _delimiters(da, db)
@@ -941,7 +944,7 @@ def emit_table(table: BracketTable, fmt: str = "text") -> str:
             lines.append(f"{opening}{la},{lb}{closing} = {table.combo_str(entry)}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(table_to_dict(table), indent=2, sort_keys=True) + "\n"
+        return json_text(table_to_dict(table))
     if fmt == "latex":
         return table_to_latex(table)
     raise ValueError(f"unknown format {fmt!r} (expected text, json, or latex)")
@@ -967,7 +970,7 @@ def emit_report(report: DiscrepancyReport, fmt: str = "text") -> str:
         lines.extend(f"  {item}" for item in report.entries)
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        return json_text(report_to_dict(report))
     if fmt == "latex":
         out = [r"% " + report.summary(), r"\begin{itemize}"]
         if report.ok:
@@ -989,7 +992,7 @@ def emit_extract_failure(subject: str, exc: AlgebraError, fmt: str = "text") -> 
         payload = {"subject": subject, "ok": False, "error": type(exc).__name__,
                    "pair": list(getattr(exc, "pair", [])) or None,
                    "residual": getattr(exc, "residual", None), "message": str(exc)}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(payload)
     if fmt == "latex":
         return f"% {subject}: extraction failed\n\\begin{{verbatim}}\n{exc}\n\\end{{verbatim}}\n"
     raise ValueError(f"unknown format {fmt!r} (expected text, json, or latex)")

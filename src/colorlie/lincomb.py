@@ -104,6 +104,8 @@ class LinComb(Frozen):
 
     def _sum(self, other, negate: bool):
         """self + other, or self - other, in one pass over other's terms."""
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         if not self.terms:  # a zero summand leaves the other as it is, degree included
             return -other if negate else other

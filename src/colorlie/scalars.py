@@ -77,8 +77,12 @@ class GaussianRational(Frozen):
         return _as_gauss(other) - self
 
     def __mul__(self, other) -> GaussianRational:
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # so other.__rmul__ runs: an operator scales itself
+            other = _as_gauss(other)
         a, b, d = self._abd
-        c, e, f = _as_gauss(other)._abd
+        c, e, f = other._abd
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
@@ -240,6 +244,8 @@ class Scalar(Frozen):
                 terms[exp] = _reduced(a * other, b * other, d)
             return _scalar(terms)
         if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return NotImplemented  # so other.__rmul__ runs: an operator scales itself
             other = as_scalar(other)
         terms = {}
         for e1, c1 in self._terms.items():

@@ -1,5 +1,7 @@
 """Degrees, the pairing, and the Koszul sign rule."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,18 @@ def test_degree_validation():
         Degree(2, 0)
     with pytest.raises(ValueError):
         Degree(0, -1)
+
+
+def test_degree_order_hash_and_pickle():
+    assert sorted(DEGREES, reverse=True) == [D11, D10, D01, D00]
+    assert D01 < D10 and max(D01, D11) is D11
+    assert {D01: "a"}[Degree(0, 1)] == "a" and hash(D10) == hash(Degree(1, 0))
+    assert repr(D10) == "Degree(a1=1, a2=0)" and str(D10) == "(1,0)"
+    for d in DEGREES:
+        assert pickle.loads(pickle.dumps(d)) == d
+    for a in DEGREES:
+        for b in DEGREES:
+            assert a + b is DEGREES[2 * ((a.a1 + b.a1) % 2) + (a.a2 + b.a2) % 2]
 
 
 def test_koszul_sign_table():

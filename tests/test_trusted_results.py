@@ -7,7 +7,13 @@ the validating public constructor (``DiffOp``, ``MatDiffOp``,
 ``GradedDiffOp``, ``GradedPoly``) must not raise, so keys, exponents and
 degrees are valid, and must give an equal value, so no zero coefficient
 was kept.
+
+The mixed-type cases close the file: a scalar factor on the left scales
+an operator as one on the right does, and a sum of two different kinds of
+value, or of a value and a scalar, raises TypeError.
 """
+
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,3 +145,33 @@ def test_corpus_operators_and_brackets_rebuild(algebra, which):
         assert_rebuilds(a)
         for b in ops[i:]:
             assert_rebuilds(a.bracket(b))
+
+
+# -- mixed operand types ----------------------------------------------------------
+
+gaussians = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(st.data(), st.one_of(coeffs, gaussians))
+def test_scalar_factor_on_the_left_scales(data, factor):
+    for a in (data.draw(diff_ops), data.draw(mat_ops(D01)), data.draw(graded_ops(D11)),
+              data.draw(graded_polys)):
+        product = factor * a
+        assert product == a.scale(factor) == a * factor
+        assert_rebuilds(product)
+
+
+def test_sums_of_different_kinds_are_refused():
+    values = (weyl.T, matop.IDENTITY, vecfield.partial(CTX, "psi"), CTX.poly("x1"),
+              DiffOp({}), MatDiffOp({}))
+    for left in values:
+        for right in values:
+            if type(left) is not type(right):
+                for combine in (operator.add, operator.sub):
+                    with pytest.raises(TypeError):
+                        combine(left, right)
+        for scalar in (Scalar.lam_power(1, GaussianRational(1)), GaussianRational(0, 1)):
+            with pytest.raises(TypeError):
+                left + scalar
+            with pytest.raises(TypeError):
+                left - scalar

@@ -1,7 +1,9 @@
 """The six value classes: immutable, and equal with the same hash after pickling.
 
 ``--jobs`` ships realizations to worker processes by pickle, so a round
-trip must give back an equal value with an equal hash.
+trip must give back an equal value with an equal hash.  The six records
+(degrees, variables, tokens, corpus entries and reports) are named tuples:
+immutable too, and equal after pickling.
 """
 
 import pickle
@@ -10,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 from colorlie import matop, vecfield
+from colorlie.algebra import Discrepancy, DiscrepancyReport
 from colorlie.grading import D01, D10, D11
+from colorlie.io import CorpusEntry, tokenize
 from colorlie.grassmann import VarContext
 from colorlie.scalars import LAM, GaussianRational, Scalar, rational
 from colorlie.weyl import DT, DX, T, DiffOp
@@ -51,3 +55,28 @@ def test_attribute_assignment_is_refused(name):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert pickle.dumps(value) == before
+
+
+ISSUE = Discrepancy("bracket", ("A", "B"), "0", "C", "C")
+RECORDS = {
+    "Degree": D11,
+    "GradedVariable": CTX["th"],
+    "Token": tokenize("x^2")[1],
+    "CorpusEntry": CorpusEntry("demo", "table", {"table": None}, "notes"),
+    "Discrepancy": ISSUE,
+    "DiscrepancyReport": DiscrepancyReport("demo", 3, (ISSUE,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_and_pickle(name):
+    value = RECORDS[name]
+    assert type(value).__name__ == name
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(value, protocol))
+        assert copy == value and type(copy) is type(value)
+    field = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
