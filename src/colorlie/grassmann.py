@@ -54,6 +54,8 @@ class VarContext:
             by_name[name] = var
         self.variables: tuple[GradedVariable, ...] = tuple(variables)
         self.by_name: dict[str, GradedVariable] = by_name
+        #: graded-Leibniz expansions cached by ``vecfield``; not part of equality
+        self.leibniz: dict = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VarContext):

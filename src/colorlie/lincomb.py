@@ -17,6 +17,7 @@ go through ``Frozen._of``, which sets the slots unchecked, as unpickling does.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .grading import koszul_sign
@@ -136,11 +137,13 @@ def term_text(coeff: str, factors: Sequence[str], sep: str = "*") -> str:
     """One printed term: '2*t*dx', '-D(x)', '(1+lam)*H', or a bare coefficient.
 
     A coefficient of 1 or -1 before factors prints as its sign only; a
-    coefficient that is itself a sum is parenthesised.
+    coefficient that is itself a sum is parenthesised, unless it already is
+    one parenthesised group, as a complex constant prints: '(1+2*i)*dt'.
     """
     if coeff in ("1", "-1") and factors:
         return coeff[:-1] + sep.join(factors)
-    if "+" in coeff[1:] or "-" in coeff[1:]:
+    depths = list(accumulate((char == "(") - (char == ")") for char in coeff))
+    if ("+" in coeff[1:] or "-" in coeff[1:]) and (coeff[0] != "(" or 0 in depths[:-1]):
         coeff = f"({coeff})"
     return sep.join([coeff, *factors])
 

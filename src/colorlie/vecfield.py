@@ -7,7 +7,13 @@ d/d(v) carries the degree of v and obeys the graded Leibniz exchange
     d_v . f = (d_v f) + koszul_sign(deg v, deg f) * f . d_v
 
 for homogeneous f, which is exactly how ``compose`` normal-orders
-products.  ``GradedDiffOp(...)`` refuses a term whose degree differs from
+products; ``_leibniz`` expands d^P . m once per (partial word, monomial)
+and caches it on the context.  The bracket sums contractions only: the
+term of a.b in which no partial of a lands on b's coefficient is the
+product of two normally ordered symbols, which graded-commute, so it is
+koszul_sign(deg a, deg b) times that term of b.a and cancels.  Every
+contraction lowers the exponent, so that term keeps b's coefficient whole.
+``GradedDiffOp(...)`` refuses a term whose degree differs from
 the declared one.  Composition preserves degree by construction (degrees
 add, and each exchange step keeps them), so ``compose`` and ``multiplier``
 build their results through the trusted ``_of`` without re-checking.
@@ -135,47 +141,53 @@ def multiplier(poly: GradedPoly) -> GradedDiffOp:
     return GradedDiffOp._of(poly.ctx, degree, {(mono, UNIT): c for mono, c in poly.terms.items()})
 
 
-def _partial_left(ctx: VarContext, index: int, terms: dict[OpTerm, Scalar]) -> dict[OpTerm, Scalar]:
-    """Normal ordering of d_v . T for T a sum of (monomial, partials) terms."""
-    var = ctx.variables[index]
-    out: dict[OpTerm, Scalar] = {}
-    for (mono, parts), coeff in terms.items():
-        hit = derive_monomial(ctx, var, mono)
-        if hit is not None:
-            factor, rest = hit
-            add_into(out, (rest, parts), coeff * factor)
-        sign = koszul_sign(var.degree, ctx.monomial_degree(mono))
-        merge_sign, merged = mono_mul(ctx, ((index, 1),), parts)
-        if merged is not None:
-            add_into(out, (mono, merged), coeff * (sign * merge_sign))
-    return out
+def _leibniz(ctx: VarContext, parts: Monomial, mono: Monomial):
+    """d^parts . mono normally ordered: ((int coefficient, monomial, partials), ...)."""
+    key = (parts, mono)
+    expansion = ctx.leibniz.get(key)
+    if expansion is None:
+        current = {(mono, UNIT): 1}
+        for index, exp in reversed(parts):
+            var = ctx.variables[index]
+            for _ in range(exp):
+                step: dict = {}
+                for (m, rest), coeff in current.items():
+                    hit = derive_monomial(ctx, var, m)
+                    if hit is not None:
+                        add_into(step, (hit[1], rest), coeff * hit[0])
+                    merge_sign, merged = mono_mul(ctx, ((index, 1),), rest)
+                    if merged is not None:
+                        sign = koszul_sign(var.degree, ctx.monomial_degree(m))
+                        add_into(step, (m, merged), coeff * sign * merge_sign)
+                current = step
+        expansion = ctx.leibniz[key] = tuple((c, m, rest) for (m, rest), c in current.items())
+    return expansion
 
 
-def compose(left: GradedDiffOp, right: GradedDiffOp) -> GradedDiffOp:
-    """Normal ordering of the operator product left . right."""
+def compose(left: GradedDiffOp, right: GradedDiffOp, contractions_only: bool = False) -> GradedDiffOp:
+    """Normal ordering of left . right; ``contractions_only`` for brackets (module notes)."""
     left._check_ctx(right)
     ctx = left.ctx
     result: dict[OpTerm, Scalar] = {}
     for (lmono, lparts), lcoeff in left.terms.items():
-        for rkey, rcoeff in right.terms.items():
-            current = {rkey: rcoeff}
-            for index, exp in reversed(lparts):
-                for _ in range(exp):
-                    current = _partial_left(ctx, index, current)
-                    if not current:
-                        break
-                if not current:
-                    break
-            for (mono, parts), coeff in current.items():
+        for (rmono, rparts), rcoeff in right.terms.items():
+            coeff = None
+            for factor, mono, parts in _leibniz(ctx, lparts, rmono):
+                if contractions_only and mono == rmono:
+                    continue
                 sign, merged = mono_mul(ctx, lmono, mono)
-                if merged is not None:
-                    add_into(result, (merged, parts), lcoeff * coeff * sign)
+                parts_sign, parts = mono_mul(ctx, parts, rparts)
+                if merged is None or parts is None:
+                    continue
+                if coeff is None:
+                    coeff = lcoeff * rcoeff
+                add_into(result, (merged, parts), coeff * (factor * sign * parts_sign))
     return GradedDiffOp._of(ctx, left.degree + right.degree, result)
 
 
 def graded_bracket(a: GradedDiffOp, b: GradedDiffOp) -> GradedDiffOp:
-    """[[a, b]] of graded operators, by ``lincomb.graded_bracket``."""
-    return lincomb.graded_bracket(a, b, compose)
+    """[[a, b]] of graded operators, by ``lincomb.graded_bracket`` over contractions only."""
+    return lincomb.graded_bracket(a, b, lambda x, y: compose(x, y, contractions_only=True))
 
 
 def apply(op: GradedDiffOp, poly: GradedPoly) -> GradedPoly:

@@ -255,6 +255,21 @@ def test_table_text_contains_expected_line():
     assert "{P,P} = P~" in text.replace(", ", ",")
 
 
+def test_complex_coefficients_print_in_one_pair_of_parentheses():
+    """str(GaussianRational) already wraps a complex value; the term printer adds none."""
+    one_plus_2i = GaussianRational(1, 2)
+    assert str(one_plus_2i * weyl.DT) == "(1+2*i)*dt"
+    assert str(weyl.DT * GaussianRational(-1, -1) - weyl.T) == "(-1-i)*dt-t"
+    assert str(one_plus_2i * partial(CTX, "psi")) == "(1+2*i)*D(psi)"
+    lam_sum = Scalar.lam_power(1, GaussianRational(1, 1)) + Scalar.constant(2)
+    assert str(lam_sum * weyl.DT) == "((1+i)*lam+2)*dt"
+    for op in (one_plus_2i * weyl.DT, lam_sum * weyl.DT + GaussianRational(0, 3) * weyl.X):
+        assert parse_operator_expr(str(op)) == MatDiffOp({(r, r, mono): c for r in range(4)
+                                                          for mono, c in op.terms.items()})
+    graded = one_plus_2i * partial(CTX, "psi")
+    assert parse_operator_expr(str(graded), context=CTX) == graded
+
+
 def test_empty_table_emits_empty_sections():
     table = BracketTable([("A", Degree(0, 0))], {})
     assert emit_table(table, "text").strip() == ""

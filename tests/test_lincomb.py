@@ -23,12 +23,16 @@ def test_add_into_accumulates_and_drops_cancelled_keys():
     ("2", ["H"], "*", "2*H"),
     ("-1/2", ["H"], "*", "-1/2*H"),
     ("1+lam", ["H"], "*", "(1+lam)*H"),
-    ("(1-i)", ["dt"], "*", "((1-i))*dt"),
+    ("(1-i)", ["dt"], "*", "(1-i)*dt"),
     ("-lam-1", [], "*", "(-lam-1)"),
     ("1", [], "*", "1"),
     ("-2", [], "*", "-2"),
     ("1+i", [r"\lambda"], "", r"(1+i)\lambda"),
     ("-1", ["Q_{+}"], "", "-Q_{+}"),
+    ("(1+i)*lam+2", ["H"], "*", "((1+i)*lam+2)*H"),
+    ("(1+i)*lam+(2-i)", ["H"], "*", "((1+i)*lam+(2-i))*H"),
+    ("lam+(1+i)", [], "*", "(lam+(1+i))"),
+    ("(-1-i)", [], "*", "(-1-i)"),
 ])
 def test_term_text(coeff, factors, sep, text):
     assert term_text(coeff, factors, sep) == text

@@ -8,18 +8,23 @@ the validating public constructor (``DiffOp``, ``MatDiffOp``,
 degrees are valid, and must give an equal value, so no zero coefficient
 was kept.
 
+The bracket oracle checks the graded bracket of random graded operators
+against the full products a.b and b.a, and against applying a and b in
+turn to a random polynomial and to a dense one.
+
 The mixed-type cases close the file: a scalar factor on the left scales
 an operator as one on the right does, and a sum of two different kinds of
 value, or of a value and a scalar, raises TypeError.
 """
 
+import itertools
 import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlie import corpus, matop, vecfield, weyl
-from colorlie.grading import D00, D01, D10, D11, DEGREES
+from colorlie.grading import D00, D01, D10, D11, DEGREES, koszul_sign
 from colorlie.grassmann import GradedPoly, VarContext, graded_derivative
 from colorlie.matop import MatDiffOp
 from colorlie.scalars import GaussianRational, Scalar
@@ -125,6 +130,38 @@ def test_graded_results_rebuild(da, db, data, poly, hpoly, factor):
         assert_rebuilds(value)
     for value in (vecfield.apply(a, poly), a.apply(hpoly)):
         assert_rebuilds(value)
+
+
+# -- the bracket oracle -----------------------------------------------------------
+# graded_bracket sums only the terms in which a partial of one operand lands
+# on the other's coefficient.  The full products and direct application are
+# the two independent paths it must agree with.
+
+@settings(deadline=None)
+@given(degrees, degrees, st.data())
+def test_bracket_equals_the_full_graded_commutator(da, db, data):
+    a, b = data.draw(graded_ops(da)), data.draw(graded_ops(db))
+    full = vecfield.compose(a, b) - vecfield.compose(b, a).scale(koszul_sign(da, db))
+    assert vecfield.graded_bracket(a, b) == full
+    assert_rebuilds(full)
+
+
+#: every monomial of CTX with exponents up to 2, each with its own coefficient,
+#: so that an operator with up to two of each partial seldom kills it
+DENSE = GradedPoly(CTX, {
+    tuple((var.index, exp) for var, exp in zip(CTX.variables, exps) if exp): k + 1
+    for k, exps in enumerate(itertools.product(
+        *(range(2 if var.square_zero else 3) for var in CTX.variables)))})
+
+
+@settings(deadline=None)
+@given(degrees, degrees, st.data(), graded_polys)
+def test_bracket_applied_is_the_commutator_of_applications(da, db, data, poly):
+    a, b = data.draw(graded_ops(da)), data.draw(graded_ops(db))
+    bracket = vecfield.graded_bracket(a, b)
+    for p in (poly, DENSE):
+        ab, ba = vecfield.apply(a, vecfield.apply(b, p)), vecfield.apply(b, vecfield.apply(a, p))
+        assert vecfield.apply(bracket, p) == ab - ba.scale(koszul_sign(da, db))
 
 
 @given(graded_polys, graded_polys, factors)
