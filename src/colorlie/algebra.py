@@ -355,35 +355,38 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
 
 
 def _diagnose_failure(pair, columns, target, base_solver_residual):
-    """Distinguish lam-dependent coefficients from genuine closure failure."""
+    """Decide lam-dependent coefficients against a genuine closure failure.
+
+    Coordinate keys end in their lam exponent.  Precondition: the caller's
+    solve failed, so no constant combination of the columns gives the
+    target, and any solution over Q(i)(lam) depends on lam.  Let n be the
+    number of columns and d the largest lam exponent.  The solve at every
+    lam = 1 .. (2n+1)*d + 1 decides exactly.  If the columns have rank n
+    over Q(i)(lam) and the target is outside their span, a nonzero n-minor
+    of the columns times a nonzero (n+1)-minor with the target has
+    lam-degree at most (2n+1)*d, so one of these points has independent
+    columns and leaves a residual.  If the target is in their span, every
+    point with independent columns solves exactly, and one exists.  If no
+    point has independent columns, the columns are dependent over
+    Q(i)(lam), and that too is a closure failure.
+    """
     def eval_vector(vec, value: int):
         out: dict = {}
         for key, gauss in vec.items():
             add_into(out, key[:-1], gauss * value ** key[-1])
         return out
 
-    degree_bound = max(
-        [max((key[-1] for key in target), default=0)]
-        + [max((key[-1] for key in col), default=0) for col in columns]
-    )
-    needed = degree_bound + 2
-    solutions = []
-    value = 1
-    attempts = 0
-    while len(solutions) < needed and attempts < 4 * needed:
-        attempts += 1
-        sampled_cols = [eval_vector(col, value) for col in columns]
-        sampled_target = eval_vector(target, value)
-        value += 1
+    degree = max((key[-1] for vec in (target, *columns) for key in vec), default=0)
+    independent = False
+    for value in range(1, (2 * len(columns) + 1) * degree + 2):
         try:
-            solver = ColumnSolver(sampled_cols)
+            solver = ColumnSolver([eval_vector(col, value) for col in columns])
         except DependentColumns:
             continue
-        coeffs, residual = solver.solve(sampled_target)
-        if residual:
+        if solver.solve(eval_vector(target, value))[1]:
             raise ClosureFailure(pair, base_solver_residual)
-        solutions.append(tuple(coeffs))
-    if len(solutions) >= 2 and len(set(solutions)) > 1:
+        independent = True
+    if independent:
         raise LambdaDependence(pair)
     raise ClosureFailure(pair, base_solver_residual)
 

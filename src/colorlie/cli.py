@@ -2,11 +2,11 @@
 
 Exit codes: 0 all checks passed, 1 discrepancies or failures found
 (report on stdout), 2 usage or parse errors (diagnostics on stderr).
-``--jobs N`` (default 1) runs the bracket-pair and Jacobi-triple sweeps
-in a pool of N worker processes; output is byte-identical for every
-worker count because chunks are merged in index order.  A serial run
-loads neither ``multiprocessing`` nor ``json``: the pool is imported
-only when it is used, and JSON only when a report is written as JSON.
+Every command runs serially in one process: a worker pool measured
+slower than serial on every corpus command.  ``verify`` and ``jacobi``
+still accept ``--jobs N`` and ignore it, because the benchmark's referee
+workload still passes it.  ``json`` is imported only when a report is
+written as JSON.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .io import (ParseError, emit_definition, emit_extract_failure, emit_report,
                  json_text, parse_definition)
 
 _FORMATS = ("text", "json", "latex")
+_JOBS_HELP = "accepted for compatibility and ignored: every check runs serially"
 
 
 class CliError(Exception):
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "(contains a dot) or definition file path; "
                                         "defaults to the corpus table for corpus realizations")
     verify.add_argument("--format", choices=_FORMATS, default="text")
-    verify.add_argument("--jobs", type=_positive_jobs, default=1)
+    verify.add_argument("--jobs", type=_positive_jobs, default=1, help=_JOBS_HELP)
 
     extract = sub.add_parser("extract", help="re-derive structure constants from a realization")
     add_source(extract)
@@ -71,16 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
     jacobi.add_argument("--basis", choices=("standard", "pm"), default="standard")
     jacobi.add_argument("--file", help="table definition file instead of the corpus")
     jacobi.add_argument("--format", choices=_FORMATS, default="text")
-    jacobi.add_argument("--jobs", type=_positive_jobs, default=1)
+    jacobi.add_argument("--jobs", type=_positive_jobs, default=1, help=_JOBS_HELP)
 
     weights_p = sub.add_parser("weights", help="grading-operator eigenvalues per basis element")
     weights_p.add_argument("--algebra", choices=corpus.ALGEBRAS, required=True)
-    weights_p.add_argument("--basis", choices=("auto", "standard", "pm"), default="auto")
     weights_p.add_argument("--format", choices=("text", "json"), default="text")
 
     split = sub.add_parser("split", help="triangular split by weight signs")
     split.add_argument("--algebra", choices=corpus.ALGEBRAS, required=True)
-    split.add_argument("--basis", choices=("auto", "standard", "pm"), default="auto")
     split.add_argument("--format", choices=("text", "json"), default="text")
 
     export = sub.add_parser("export", help="print a corpus entry in an interchange format")
@@ -137,7 +136,7 @@ def _resolve_verify(args) -> tuple[Realization, BracketTable, str]:
             table = _resolve_table_spec(args.table)
             subject = f"{args.algebra} {args.realization} vs {args.table}"
         else:
-            basis = "pm" if args.realization == "vectorfield" and args.algebra != "n1" else "standard"
+            basis = corpus.realization_basis(args.algebra, args.realization)
             subject = f"{args.algebra} {args.realization} vs {args.algebra} table ({basis})"
     else:
         raise CliError("verify needs --algebra and --realization, or --file")
@@ -146,18 +145,8 @@ def _resolve_verify(args) -> tuple[Realization, BracketTable, str]:
     return real, table, subject
 
 
-def _chunks(items: list, jobs: int) -> list[list]:
-    count = min(jobs, len(items)) or 1
-    size, extra = divmod(len(items), count)
-    out = []
-    start = 0
-    for index in range(count):
-        end = start + size + (1 if index < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
-
-
+# _verify_chunk and _jacobi_chunk keep their names and one-payload signature
+# because bench/tracer.py wraps them by name (CHUNKS) and calls fn(payload).
 def _verify_chunk(payload) -> DiscrepancyReport:
     real, table, pairs = payload
     return verify_realization(real, table, pairs)
@@ -166,18 +155,6 @@ def _verify_chunk(payload) -> DiscrepancyReport:
 def _jacobi_chunk(payload) -> DiscrepancyReport:
     table, triples = payload
     return check_jacobi(table, triples)
-
-
-def _run_parallel(worker, payloads: list, subject: str) -> DiscrepancyReport:
-    """One report on ``subject`` from the chunks, merged in index order."""
-    if len(payloads) == 1:
-        parts = [worker(payloads[0])]
-    else:
-        import multiprocessing
-        with multiprocessing.Pool(len(payloads)) as pool:
-            parts = pool.map(worker, payloads)
-    return DiscrepancyReport(subject, sum(part.checked for part in parts),
-                             tuple(item for part in parts for item in part.entries))
 
 
 def _emit_checks(report: DiscrepancyReport, fmt: str, counted: str, problems: str) -> str:
@@ -193,12 +170,9 @@ def _emit_checks(report: DiscrepancyReport, fmt: str, counted: str, problems: st
 
 def _cmd_verify(args) -> int:
     real, table, subject = _resolve_verify(args)
-    n = len(real.basis)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    payloads = [(real, table, chunk) for chunk in _chunks(pairs, args.jobs)]
-    report = _run_parallel(_verify_chunk, payloads, subject)
+    report = _verify_chunk((real, table, None))._replace(subject=subject)
     sys.stdout.write(_emit_checks(report, args.format,
-                                  f"{n} generators, {report.checked} unordered pairs",
+                                  f"{len(real.basis)} generators, {report.checked} unordered pairs",
                                   "discrepancies"))
     return 0 if report.ok else 1
 
@@ -229,27 +203,13 @@ def _cmd_jacobi(args) -> int:
         subject = f"graded Jacobi on {args.algebra} table ({args.basis})"
     else:
         raise CliError("jacobi needs --algebra or --file")
-    n = len(table.basis)
-    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    payloads = [(table, chunk) for chunk in _chunks(triples, args.jobs)]
-    report = _run_parallel(_jacobi_chunk, payloads, subject)
+    report = _jacobi_chunk((table, None))._replace(subject=subject)
     sys.stdout.write(_emit_checks(report, args.format, f"{report.checked} triples", "failures"))
     return 0 if report.ok else 1
 
 
-def _weights_basis(args) -> str:
-    wanted = args.basis
-    available = "standard" if args.algebra == "n1" else "pm"
-    if wanted == "auto":
-        return available
-    if wanted != available:
-        raise CliError(
-            f"weights for {args.algebra} are defined in the {available} basis")
-    return wanted
-
-
 def _computed_weights(args):
-    basis = _weights_basis(args)
+    basis = corpus.realization_basis(args.algebra, "vectorfield")
     table = corpus.table(args.algebra, basis)
     grading = corpus.weights_entry(args.algebra).payload["grading_labels"]
     try:

@@ -125,25 +125,26 @@ def table(algebra: str, basis: str = "standard") -> BracketTable:
     raise ValueError(f"unknown basis {basis!r} (expected 'standard' or 'pm')")
 
 
-def realization(algebra: str, which: str) -> tuple[Realization, BracketTable]:
-    """A corpus realization plus the table it is checked against.
+def realization_basis(algebra: str, which: str) -> str:
+    """The basis a corpus realization is written in: ``standard`` or ``pm``.
 
-    ``which`` is ``dmodule`` or ``vectorfield``.  The d-module
-    realizations use the standard basis; the vector-field realizations
-    use the p/m basis for the doubled algebras and the standard basis
-    for ``n1``.
+    The d-module realizations use the standard basis.  The vector-field
+    realizations, and the weights computed for them, use the p/m basis
+    for the doubled algebras and the standard basis for ``n1``.
     """
+    return "pm" if which == "vectorfield" and algebra != "n1" else "standard"
+
+
+def realization(algebra: str, which: str) -> tuple[Realization, BracketTable]:
+    """A corpus realization, ``dmodule`` or ``vectorfield``, plus the table
+    it is checked against, in the basis of :func:`realization_basis`."""
     if algebra not in ALGEBRAS:
         raise UnknownId(f"{algebra}.{which}")
-    if which == "dmodule":
-        real = load(f"{algebra}.dmodule").payload["realization"]
-        return real, table(algebra, "standard")
-    if which == "vectorfield":
-        real = load(f"{algebra}.vectorfield").payload["realization"]
-        check = table(algebra, "pm" if algebra != "n1" else "standard")
-        return real, check
-    raise ValueError(f"unknown realization {which!r} "
-                     "(expected 'dmodule' or 'vectorfield')")
+    if which not in ("dmodule", "vectorfield"):
+        raise ValueError(f"unknown realization {which!r} "
+                         "(expected 'dmodule' or 'vectorfield')")
+    real = load(f"{algebra}.{which}").payload["realization"]
+    return real, table(algebra, realization_basis(algebra, which))
 
 
 def weights_entry(algebra: str) -> CorpusEntry:

@@ -3,7 +3,7 @@
 import pytest
 
 from colorlie.grading import D00, D01, D10, D11
-from colorlie.scalars import I, LAM, Scalar, rational
+from colorlie.scalars import I, LAM, GaussianRational, Scalar, rational
 from colorlie import corpus, weyl
 from colorlie.algebra import (
     BasisMismatch,
@@ -23,6 +23,7 @@ from colorlie.algebra import (
     triangular_split,
     verify_realization,
     weights,
+    _diagnose_failure,
 )
 from colorlie.matop import scalar_op
 from colorlie.weyl import DT, DX, T, DiffOp
@@ -137,6 +138,17 @@ def test_extract_detects_lam_dependence():
     real = Realization([("a", D00), ("b", D00)], {"a": a, "b": b})
     with pytest.raises(LambdaDependence) as info:
         extract_structure_constants(real)
+    assert info.value.pair == ("a", "b")
+
+
+def test_lam_dependence_survives_singular_sample_points():
+    # column k is (lam - k) on row k, so c_k = 1/(lam - k): every point
+    # lam = 1 .. 12 makes the columns dependent, and none is a real failure.
+    one = GaussianRational(1)
+    columns = [{(k, 0): -k * one, (k, 1): one} for k in range(1, 13)]
+    target = {(k, 0): one for k in range(1, 13)}
+    with pytest.raises(LambdaDependence) as info:
+        _diagnose_failure(("a", "b"), columns, target, "residual")
     assert info.value.pair == ("a", "b")
 
 

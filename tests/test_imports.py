@@ -2,8 +2,8 @@
 
 Each check is a short process of its own, so module imports are a fixed
 cost of every run.  ``dataclasses`` (with ``inspect``), ``multiprocessing``
-and ``json`` are not needed by a serial run that writes text; the pool is
-imported only by ``--jobs`` above 1, and JSON only by ``--format json``.
+and ``json`` are not needed by a run that writes text; JSON is imported
+only by ``--format json``, and no run starts a worker pool.
 The check names modules; it never times anything.
 """
 
@@ -45,4 +45,4 @@ def test_serial_verify_imports_no_unused_module():
 def test_json_and_pool_load_only_when_used():
     code, out, loaded = run_child("jacobi", "--algebra", "n1", "--format", "json", "--jobs", "2")
     assert code == 0 and json.loads(out)["checked"] == 13 ** 3
-    assert loaded == ["multiprocessing", "json"]
+    assert loaded == ["json"]

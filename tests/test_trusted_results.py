@@ -78,12 +78,31 @@ def graded_monos(draw):
                  if (exp := draw(st.integers(0, 1 if var.square_zero else 2))))
 
 
+#: every normally ordered monomial of CTX; square-zero variables appear once
+ALL_MONOS = [tuple((var.index, exp) for var, exp in zip(CTX.variables, exps) if exp)
+             for exps in itertools.product(
+                 *(range(2 if var.square_zero else 3) for var in CTX.variables))]
+#: the same monomials by degree, fewest exponents first
+MONOS_OF_DEGREE = {degree: sorted((mono for mono in ALL_MONOS
+                                   if CTX.monomial_degree(mono) == degree),
+                                  key=lambda mono: sum(exp for _, exp in mono))
+                   for degree in DEGREES}
+
+
 @st.composite
-def graded_ops(draw, degree):
-    candidates = draw(st.lists(st.tuples(graded_monos(), graded_monos(), coeffs), max_size=8))
-    return GradedDiffOp(CTX, degree, {
-        (mono, parts): coeff for mono, parts, coeff in candidates
-        if CTX.monomial_degree(mono) + CTX.monomial_degree(parts) == degree})
+def graded_keys(draw, degree):
+    """A (coefficient, partial word) key of the given degree."""
+    mono_degree = draw(degrees)
+    mono = draw(st.sampled_from(MONOS_OF_DEGREE[mono_degree]))
+    return mono, draw(st.sampled_from(MONOS_OF_DEGREE[degree + mono_degree]))
+
+
+def graded_ops(degree):
+    """Operators of one degree, drawn only from keys of that degree, so that
+    a failing example shrinks key by key towards the simplest ones.  At most
+    three keys keep each example, and so each shrink step, cheap."""
+    return st.dictionaries(graded_keys(degree), coeffs, max_size=3).map(
+        lambda terms: GradedDiffOp(CTX, degree, terms))
 
 
 graded_polys = st.dictionaries(graded_monos(), coeffs, max_size=4).map(
@@ -148,10 +167,7 @@ def test_bracket_equals_the_full_graded_commutator(da, db, data):
 
 #: every monomial of CTX with exponents up to 2, each with its own coefficient,
 #: so that an operator with up to two of each partial seldom kills it
-DENSE = GradedPoly(CTX, {
-    tuple((var.index, exp) for var, exp in zip(CTX.variables, exps) if exp): k + 1
-    for k, exps in enumerate(itertools.product(
-        *(range(2 if var.square_zero else 3) for var in CTX.variables)))})
+DENSE = GradedPoly(CTX, {mono: k + 1 for k, mono in enumerate(ALL_MONOS)})
 
 
 @settings(deadline=None)

@@ -1,7 +1,8 @@
 """The six value classes: immutable, and equal with the same hash after pickling.
 
-``--jobs`` ships realizations to worker processes by pickle, so a round
-trip must give back an equal value with an equal hash.  The six records
+Pickling is part of the value contract: a round trip gives back an equal
+value with an equal hash, so values can be cached or sent to another
+process by pickle.  The six records
 (degrees, variables, tokens, corpus entries and reports) are named tuples:
 immutable too, and equal after pickling.
 """
