@@ -7,13 +7,18 @@ not something inferred from the block structure: the presentations
 assign it, and the graded bracket trusts it.  Addition requires equal
 degrees (a sum of different degrees would not be homogeneous); the zero
 operator is degree-polymorphic so residuals can be formed in any sector.
+
+With a = sum lm (x) A^lm (A^lm the coefficient matrix at Weyl monomial lm),
+a.b has the uncontracted term (lm + rm) (x) A^lm B^rm.  If koszul_sign(deg a,
+deg b) is +1 and the matrices commute (one a multiple of the identity, or both
+diagonal), it cancels in the bracket, so ``graded_bracket`` never forms it.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .grading import D00, Degree
+from .grading import D00, Degree, koszul_sign
 from .scalars import Scalar, as_scalar
 from . import lincomb, weyl
 from .lincomb import LinComb, add_into, setslot
@@ -108,23 +113,47 @@ def scalar_op(d: DiffOp) -> MatDiffOp:
 IDENTITY = scalar_op(weyl.ONE)
 
 
-def compose(left: MatDiffOp, right: MatDiffOp) -> MatDiffOp:
-    """Matrix product: each left (i, j) term meets each right (j, k) term."""
+def _symbol_ranks(op: MatDiffOp) -> dict:
+    """Per monomial with a diagonal coefficient matrix: 2 if it is a multiple
+    of the identity, else 1; the others rank 0.  Two matrices commute when
+    their ranks add up to 2 or more.  Cells compare by ==, not by hash."""
+    diagonal: dict[WeylMonomial, list] = {}
+    off_diagonal = set()
+    for (row, col, mono), coeff in op.terms.items():
+        if row == col:
+            diagonal.setdefault(mono, []).append(coeff)
+        else:
+            off_diagonal.add(mono)
+    return {mono: 2 if len(cells) == 4 and cells.count(cells[0]) == 4 else 1
+            for mono, cells in diagonal.items() if mono not in off_diagonal}
+
+
+def compose(left: MatDiffOp, right: MatDiffOp, ranks: tuple = ({}, {})) -> MatDiffOp:
+    """Matrix product: each left (i, j) term meets each right (j, k) term.  A
+    bracket passes the operands' ``_symbol_ranks`` to skip commuting products."""
+    lranks, rranks = ranks
     right_rows: dict[int, list] = {}
     for (j, k, rm), rc in right.terms.items():
-        right_rows.setdefault(j, []).append((k, rm, rc))
+        right_rows.setdefault(j, []).append((k, rm, rc, rranks.get(rm, 0)))
     terms: dict[MatKey, Scalar] = {}
     for (i, j, lm), lc in left.terms.items():
-        for k, rm, rc in right_rows.get(j, ()):
-            coeff = lc * rc
-            for factor, mono in weyl.mono_product(lm, rm):
-                add_into(terms, (i, k, mono), coeff * factor)
+        lrank = lranks.get(lm, 0)
+        for k, rm, rc, rrank in right_rows.get(j, ()):
+            # the uncontracted term comes first; commuting symbols drop it
+            product = weyl.mono_product(lm, rm)[lrank + rrank >= 2:]
+            if product:
+                coeff = lc * rc
+                for factor, mono in product:
+                    add_into(terms, (i, k, mono), coeff * factor)
     return MatDiffOp._of(left.degree + right.degree, terms)
 
 
 def graded_bracket(a: MatDiffOp, b: MatDiffOp) -> MatDiffOp:
-    """[[a, b]] of matrix operators, by ``lincomb.graded_bracket``."""
-    return lincomb.graded_bracket(a, b, compose)
+    """[[a, b]] by ``lincomb.graded_bracket``, less cancelling products (module notes)."""
+    plus = koszul_sign(a.degree, b.degree) == 1
+    ranks = (_symbol_ranks(a), _symbol_ranks(b)) if plus else ({}, {})
+    return lincomb.graded_bracket(
+        a, b, lambda x, y: compose(x, y, ranks if x is a else ranks[::-1]))
 
 
 def apply(op: MatDiffOp, column: Sequence[DiffOp]) -> list[DiffOp]:

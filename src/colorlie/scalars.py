@@ -115,7 +115,8 @@ class GaussianRational(Frozen):
         return self._abd == other._abd
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        a, b, d = self._abd  # a real value hashes as the int or Fraction it equals
+        return hash(self._abd) if b else hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -265,8 +266,8 @@ class Scalar(Frozen):
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(tuple(sorted((e, c.re, c.im) for e, c in self._terms.items())))
+    def __hash__(self):  # a lam-free value hashes as its constant, which may equal an int
+        return hash(self.coefficient(0) if self.lam_degree() < 1 else frozenset(self.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -7,13 +7,16 @@ a product of two monomials with the exchange rule
 
     dt^m . t^n = sum_k C(m,k) * n!/(n-k)! * t^(n-k) * dt^(m-k)
 
-which ``compose`` here and ``matop.compose`` sum over pairs of terms.
+once per pair, into the table that ``compose`` here and ``matop.compose``
+read.  Its first term is the uncontracted k = 0 one, which ``matop`` brackets
+skip when the coefficient matrices of the two symbols commute.
 ``apply`` differentiates a polynomial directly; compose and apply must
 agree on every polynomial, which the tests use as a cross-check.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, perm
 from typing import Mapping, NamedTuple
 
@@ -101,11 +104,13 @@ def _exchange(d_exp: int, p_exp: int):
         yield comb(d_exp, k) * perm(p_exp, k), p_exp - k, d_exp - k
 
 
-def mono_product(lm: WeylMonomial, rm: WeylMonomial):
-    """The normally ordered product lm . rm, as (int coefficient, monomial) terms."""
-    for ct, et, dt in _exchange(lm.dt, rm.pt):
-        for cx, ex, dx in _exchange(lm.dx, rm.px):
-            yield ct * cx, WeylMonomial(lm.pt + et, lm.px + ex, dt + rm.dt, dx + rm.dx)
+@lru_cache(maxsize=4096)
+def mono_product(lm: WeylMonomial, rm: WeylMonomial) -> tuple:
+    """lm . rm normally ordered, ((int factor, monomial), ...), (1, lm + rm) first.
+    The 4096 latest used pairs are kept: the corpus meets under 150, high orders more."""
+    return tuple((ct * cx, WeylMonomial(lm.pt + et, lm.px + ex, dt + rm.dt, dx + rm.dx))
+                 for ct, et, dt in _exchange(lm.dt, rm.pt)
+                 for cx, ex, dx in _exchange(lm.dx, rm.px))
 
 
 def compose(left: DiffOp, right: DiffOp) -> DiffOp:

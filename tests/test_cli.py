@@ -194,6 +194,20 @@ def test_extract_failures_are_reported(capsys, tmp_path, operators, error, reaso
     assert code == 1 and reason in out and "Traceback" not in out + err
 
 
+def test_extract_reports_a_coefficient_rational_in_lam(capsys, tmp_path):
+    # [A, B] = dx = C/(lam-1): the span closes over rational functions of lam,
+    # no constant combination gives dx, and at lam = 1 the column of C vanishes
+    real_path = tmp_path / "real.txt"
+    real_path.write_text(_dmodule("  A = dt\n  B = t*dx\n  C = (lam-1)*dx\n", _AB + "  C (0,0)\n"))
+    code, out, err = run(capsys, "extract", "--file", str(real_path))
+    assert (code, err) == (1, "")
+    assert out == (f"{real_path}: extraction failed\n"
+                   "  bracket of A and B needs lam-dependent coefficients\n")
+    code, out, err = run(capsys, "extract", "--file", str(real_path), "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and data["error"] == "LambdaDependence" and data["pair"] == ["A", "B"]
+
+
 def test_extract_usage_error(capsys):
     code, out, err = run(capsys, "extract")
     assert code == 2 and "extract needs" in err

@@ -8,9 +8,12 @@ the validating public constructor (``DiffOp``, ``MatDiffOp``,
 degrees are valid, and must give an equal value, so no zero coefficient
 was kept.
 
-The bracket oracle checks the graded bracket of random graded operators
-against the full products a.b and b.a, and against applying a and b in
-turn to a random polynomial and to a dense one.
+The bracket oracles check the graded bracket of random graded operators,
+and of random matrix operators built to have commuting symbols, against
+the full products a.b and b.a, and against applying a and b in turn to
+random polynomials and to dense ones.  They skip hypothesis's explain
+phase, which only annotates a failure report and replays hundreds of
+examples to do so.
 
 The mixed-type cases close the file: a scalar factor on the left scales
 an operator as one on the right does, and a sum of two different kinds of
@@ -21,7 +24,7 @@ import itertools
 import operator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from colorlie import corpus, matop, vecfield, weyl
 from colorlie.grading import D00, D01, D10, D11, DEGREES, koszul_sign
@@ -156,7 +159,11 @@ def test_graded_results_rebuild(da, db, data, poly, hpoly, factor):
 # on the other's coefficient.  The full products and direct application are
 # the two independent paths it must agree with.
 
-@settings(deadline=None)
+#: generate and shrink as usual, but do not replay examples to annotate a failure
+ORACLE = settings(deadline=None, phases=[phase for phase in Phase if phase is not Phase.explain])
+
+
+@ORACLE
 @given(degrees, degrees, st.data())
 def test_bracket_equals_the_full_graded_commutator(da, db, data):
     a, b = data.draw(graded_ops(da)), data.draw(graded_ops(db))
@@ -170,7 +177,7 @@ def test_bracket_equals_the_full_graded_commutator(da, db, data):
 DENSE = GradedPoly(CTX, {mono: k + 1 for k, mono in enumerate(ALL_MONOS)})
 
 
-@settings(deadline=None)
+@ORACLE
 @given(degrees, degrees, st.data(), graded_polys)
 def test_bracket_applied_is_the_commutator_of_applications(da, db, data, poly):
     a, b = data.draw(graded_ops(da)), data.draw(graded_ops(db))
@@ -178,6 +185,53 @@ def test_bracket_applied_is_the_commutator_of_applications(da, db, data, poly):
     for p in (poly, DENSE):
         ab, ba = vecfield.apply(a, vecfield.apply(b, p)), vecfield.apply(b, vecfield.apply(a, p))
         assert vecfield.apply(bracket, p) == ab - ba.scale(koszul_sign(da, db))
+
+
+# matop.graded_bracket drops the uncontracted product of two symbols whose
+# coefficient matrices commute.  mat_ops almost never draws a multiple of the
+# identity, so these operators add scalar_op and diagonal summands to random
+# cells, over monomials that often coincide.
+
+#: exponents up to 2, half of them 0: monomials coincide often, and stay cheap
+light_exps = st.sampled_from((0, 0, 1, 2))
+light_monos = st.builds(WeylMonomial, light_exps, light_exps, light_exps, light_exps)
+
+
+@st.composite
+def symbol_mat_ops(draw, degree):
+    """scalar_op(d) + diagonal cells + random cells, of the given degree."""
+    identity = matop.scalar_op(DiffOp(draw(st.dictionaries(light_monos, coeffs, max_size=2))))
+    diagonal = draw(st.dictionaries(st.tuples(st.integers(0, 3), light_monos), coeffs, max_size=3))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3), light_monos),
+                                 coeffs, max_size=2))
+    return (identity + MatDiffOp({(i, i, mono): c for (i, mono), c in diagonal.items()})
+            + MatDiffOp(cells)).with_degree(degree)
+
+
+@ORACLE
+@given(degrees, degrees, st.data())
+def test_matrix_bracket_equals_the_full_graded_commutator(da, db, data):
+    a, b = data.draw(symbol_mat_ops(da)), data.draw(symbol_mat_ops(db))
+    full = matop.compose(a, b) - matop.compose(b, a).scale(koszul_sign(da, db))
+    assert matop.graded_bracket(a, b) == full
+    assert_rebuilds(full)
+
+
+#: every t^pt x^px with pt, px up to 4, with distinct coefficients in each
+#: component, so that a bracket's derivatives (up to 4 of each) seldom kill it
+DENSE_COLUMN = [DiffOp({WeylMonomial(pt, px, 0, 0): 25 * row + 5 * pt + px + 1
+                        for pt in range(5) for px in range(5)}) for row in range(4)]
+
+
+@ORACLE
+@given(degrees, degrees, st.data(), st.lists(weyl_polys, min_size=4, max_size=4))
+def test_matrix_bracket_applied_is_the_commutator_of_applications(da, db, data, column):
+    a, b = data.draw(symbol_mat_ops(da)), data.draw(symbol_mat_ops(db))
+    bracket = matop.graded_bracket(a, b)
+    for col in (column, DENSE_COLUMN):
+        ab, ba = matop.apply(a, matop.apply(b, col)), matop.apply(b, matop.apply(a, col))
+        assert matop.apply(bracket, col) == [x - y.scale(koszul_sign(da, db))
+                                             for x, y in zip(ab, ba)]
 
 
 @given(graded_polys, graded_polys, factors)
