@@ -11,6 +11,11 @@ Operator expressions use a small grammar shared by every file kind::
                 | "D" "(" IDENT ")"
                 | IDENT
                 | "(" expression ")"
+    INT        := [0-9]+
+    IDENT      := [A-Za-z_][A-Za-z0-9_~']*
+
+Every token is ASCII; any other character is an error.  IDENT is also
+the rule for basis labels and variable names.
 
 `t, x, dt, dx, e(i,j)` build matrix differential operators; `D(v)` and
 declared variable names build graded differential operators; a bare
@@ -26,9 +31,8 @@ included.
 
 Definition files hold one algebra entry each: `algebra <id>` and
 `kind <kind>` head lines, then sections introduced by a header at
-column 0 (`basis:`, `operators:`, `derived:`, `table:`, `variables:`,
-`source-basis:`, `combos:`, `grading-operators:`, `weights:`,
-`split:`, `notes:`).  Lines starting with `#` are comments.
+column 0, such as `basis:`.  `_LAYOUT` names the sections of each kind;
+every kind may also hold `notes:`.  Lines starting with `#` are comments.
 """
 
 from __future__ import annotations
@@ -61,11 +65,10 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # lexer
 
-RESERVED = ("i", "lam", "t", "x", "dt", "dx", "e", "D")
-
-_IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT_CONT = re.compile(r"[A-Za-z0-9_~']")
-_SYMBOLS = "+-*/^(),"
+#: the one identifier rule: basis labels, variables and names in expressions
+_IDENT = r"[A-Za-z_][A-Za-z0-9_~']*"
+_TOKEN_RE = re.compile(rf"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)"
+                       rf"|(?P<int>[0-9]+)|(?P<ident>{_IDENT})|(?P<sym>[-+*/^(),])|(?P<bad>.)")
 
 
 class Token(NamedTuple):
@@ -78,41 +81,19 @@ class Token(NamedTuple):
 def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
     """Lex an expression fragment; (line, col) locate its first character."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch.isdigit():
-            start = i
-            start_col = col
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(Token("int", int(text[start:i]), line, start_col))
-        elif _IDENT_START.match(ch):
-            start = i
-            start_col = col
-            while i < n and _IDENT_CONT.match(text[i]):
-                i += 1
-                col += 1
-            tokens.append(Token("ident", text[start:i], line, start_col))
-        elif ch in _SYMBOLS:
-            tokens.append(Token("sym", ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+    offset = -col  # text[k] sits in column k - offset of the current line
+    match = None
+    for match in _TOKEN_RE.finditer(text):
+        kind, value, at = match.lastgroup, match.group(), match.start() - offset
+        if kind == "newline":
+            line, offset = line + 1, match.start()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, at)
+        elif kind not in ("blank", "comment"):
+            tokens.append(Token(kind, int(value) if kind == "int" else value, line, at))
+    # a comment takes no columns, so the end of a commented line sits at its '#'
+    stop = match.start() if match and match.lastgroup == "comment" else len(text)
+    tokens.append(Token("end", "", line, stop - offset))
     return tokens
 
 
@@ -128,6 +109,10 @@ _MIXING = "expression mixes matrix tokens (t, x, dt, dx, e(i,j)) with graded-var
 _CONSTANTS = {"i": scalars.I, "lam": scalars.LAM}
 _MATRIX_ATOMS = {name: matop.scalar_op(base)
                  for name, base in (("t", weyl.T), ("x", weyl.X), ("dt", weyl.DT), ("dx", weyl.DX))}
+#: no basis label may be a constant or matrix atom; no variable may also be
+#: "e" or "D", which are keywords only before "(" and so stay usable as labels
+_RESERVED_LABELS = frozenset(_CONSTANTS).union(_MATRIX_ATOMS)
+RESERVED = _RESERVED_LABELS | {"e", "D"}
 _OPERATORS = (MatDiffOp, GradedDiffOp)
 #: deepest parenthesis nesting (the corpus uses 3); keeps the recursion shallow
 _MAX_NESTING = 64
@@ -408,14 +393,19 @@ def operator_expr_text(op) -> str:
 # ---------------------------------------------------------------------------
 # definition files
 
-KINDS = ("d-module", "vector-field", "table", "grading", "basis-change", "weights")
-
-_SECTION_RE = re.compile(
-    r"^(variables|basis|source-basis|operators|derived|table|combos|"
-    r"grading-operators|weights|split|notes):\s*$"
-)
-_BASIS_LINE_RE = re.compile(r"^([A-Za-z_][\w~']*)\s*\(\s*([01])\s*,\s*([01])\s*\)$")
-_BRACKET_RE = re.compile(r"^([\[{])\s*([A-Za-z_][\w~']*)\s*,\s*([A-Za-z_][\w~']*)\s*([\]}])$")
+#: the sections an entry of each kind may hold besides `notes`
+_LAYOUT = {
+    "d-module": ("basis", "operators", "derived"),
+    "vector-field": ("variables", "basis", "operators", "derived"),
+    "table": ("basis", "table"),
+    "grading": ("basis",),
+    "basis-change": ("source-basis", "basis", "combos"),
+    "weights": ("grading-operators", "weights", "split"),
+}
+KINDS = tuple(_LAYOUT)
+_SECTIONS = {"notes", *(name for names in _LAYOUT.values() for name in names)}
+_BASIS_LINE_RE = re.compile(rf"({_IDENT})\s*\(\s*([01])\s*,\s*([01])\s*\)")
+_BRACKET_RE = re.compile(rf"([\[{{])\s*({_IDENT})\s*,\s*({_IDENT})\s*([\]}}])")
 _SPLIT_KEYS = ("positive", "zero", "negative")
 
 
@@ -438,12 +428,10 @@ def _split_sections(text: str):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        match = _SECTION_RE.match(line)
-        if match:
+        if line.endswith(":") and line[:-1] in _SECTIONS:
             current = []
-            sections.append((number, match.group(1), current))
-            continue
-        if current is None:
+            sections.append((number, line[:-1], current))
+        elif current is None:
             head.append((number, stripped))
         else:
             current.append((number, line))
@@ -464,10 +452,16 @@ def _split_equals(line: str, number: int):
     return left.strip(), _indent_col(left), right.strip(), rhs_col
 
 
-# "D" and "e" stay usable as basis labels (keywords only before "("),
-# but variables must avoid all keywords to stay referenceable.
-_RESERVED_LABELS = frozenset(("i", "lam", "t", "x", "dt", "dx"))
-_RESERVED_VARIABLES = frozenset(RESERVED)
+def _assignments(lines, labels, defined: Mapping, where: str = "the basis"):
+    """'label = rhs' lines -> (number, label, rhs, column of rhs), each label one of
+    `labels` and not yet in `defined`, which the caller fills as it goes."""
+    for number, line in lines:
+        label, label_col, rhs, rhs_col = _split_equals(line, number)
+        if label not in labels:
+            raise ParseError(f"{label!r} is not in {where}", number, label_col)
+        if label in defined:
+            raise ParseError(f"{label!r} is defined twice", number, label_col)
+        yield number, label, rhs, rhs_col
 
 
 def _parse_basis_lines(lines, what="basis element",
@@ -476,7 +470,7 @@ def _parse_basis_lines(lines, what="basis element",
     seen = set()
     for number, line in lines:
         col = _indent_col(line)
-        match = _BASIS_LINE_RE.match(line.strip())
+        match = _BASIS_LINE_RE.fullmatch(line.strip())
         if not match:
             raise ParseError(f"expected '{what} (a1,a2)'", number, col)
         label = match.group(1)
@@ -491,7 +485,7 @@ def _parse_basis_lines(lines, what="basis element",
 
 def _bracket_head(text: str, number: int, col: int, degrees: Mapping[str, Degree], unknown: str):
     """'[A, B]' at column col -> (symbol, A, B): labels in degrees, delimiters as _delimiters says."""
-    match = _BRACKET_RE.match(text)
+    match = _BRACKET_RE.fullmatch(text)
     if not match:
         raise ParseError("expected '[A, B]' or '{A, B}'", number, col)
     open_sym, left, right, close_sym = match.groups()
@@ -513,11 +507,12 @@ def _delimiters(da: Degree, db: Degree) -> tuple[str, str]:
     return ("{", "}") if koszul_sign(da, db) == -1 else ("[", "]")
 
 
-def _section_map(sections, entry_kind: str, allowed: Sequence[str]):
+def _section_map(sections, kind: str):
+    """{name: lines}, each section given once and allowed in a `kind` entry by _LAYOUT."""
     seen = {}
     for number, name, lines in sections:
-        if name not in allowed:
-            raise ParseError(f"section {name!r} does not belong in a {entry_kind} entry", number, 1)
+        if name not in _LAYOUT[kind] and name != "notes":
+            raise ParseError(f"section {name!r} does not belong in a {kind} entry", number, 1)
         if name in seen:
             raise ParseError(f"duplicate section {name!r}", number, 1)
         seen[name] = lines
@@ -534,13 +529,8 @@ def _parse_operator_sections(sections, kind: str, basis, context=None):
     """Shared operators/derived handling for realization kinds."""
     degrees = dict(basis)
     ops: dict[str, object] = {}
-    operator_order: list[str] = []
-    for number, line in _require(sections, "operators", kind):
-        label, label_col, rhs, rhs_col = _split_equals(line, number)
-        if label not in degrees:
-            raise ParseError(f"{label!r} is not in the basis", number, label_col)
-        if label in ops:
-            raise ParseError(f"{label!r} is defined twice", number, label_col)
+    for number, label, rhs, rhs_col in _assignments(_require(sections, "operators", kind),
+                                                    degrees, ops):
         value = _ExprParser(rhs, number, rhs_col, context=context, definitions=ops).parse_all()
         declared = degrees[label]
         if isinstance(value, Scalar):
@@ -557,15 +547,10 @@ def _parse_operator_sections(sections, kind: str, basis, context=None):
                 f"{label} evaluates to degree {value.degree}, basis says {declared}",
                 number, rhs_col)
         ops[label] = value
-        operator_order.append(label)
+    operator_order = list(ops)
 
     derived: list[tuple[str, str, tuple[str, str]]] = []
-    for number, line in sections.get("derived", []):
-        label, label_col, rhs, rhs_col = _split_equals(line, number)
-        if label not in degrees:
-            raise ParseError(f"{label!r} is not in the basis", number, label_col)
-        if label in ops:
-            raise ParseError(f"{label!r} is defined twice", number, label_col)
+    for number, label, rhs, rhs_col in _assignments(sections.get("derived", []), degrees, ops):
         defined = {name: op.degree for name, op in ops.items()}
         symbol, la, lb = _bracket_head(rhs, number, rhs_col, defined, "{!r} is not defined yet")
         value = ops[la].bracket(ops[lb])
@@ -594,24 +579,18 @@ def parse_definition(text: str) -> CorpusEntry:
         raise ParseError(f"unexpected line before the first section: {line!r}", number, 1)
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})", head[1][0], 1)
+    named = _section_map(sections, kind)
 
-    if kind == "d-module":
-        named = _section_map(sections, kind, ("basis", "operators", "derived", "notes"))
+    if kind in ("d-module", "vector-field"):
+        payload = {}
+        if kind == "vector-field":
+            payload["context"] = VarContext(_parse_basis_lines(
+                _require(named, "variables", kind), what="variable", reserved=RESERVED))
         basis = _parse_basis_lines(_require(named, "basis", kind))
-        realization, order, derived = _parse_operator_sections(named, kind, basis)
-        payload = {"basis": basis, "realization": realization,
-                   "operator_order": order, "derived": derived}
-    elif kind == "vector-field":
-        named = _section_map(sections, kind, ("variables", "basis", "operators", "derived", "notes"))
-        variables = _parse_basis_lines(_require(named, "variables", kind), what="variable",
-                                       reserved=_RESERVED_VARIABLES)
-        context = VarContext(variables)
-        basis = _parse_basis_lines(_require(named, "basis", kind))
-        realization, order, derived = _parse_operator_sections(named, kind, basis, context)
-        payload = {"context": context, "basis": basis, "realization": realization,
-                   "operator_order": order, "derived": derived}
+        realization, order, derived = _parse_operator_sections(
+            named, kind, basis, payload.get("context"))
+        payload.update(basis=basis, realization=realization, operator_order=order, derived=derived)
     elif kind == "table":
-        named = _section_map(sections, kind, ("basis", "table", "notes"))
         basis = _parse_basis_lines(_require(named, "basis", kind))
         labels = [label for label, _ in basis]
         index = {label: k for k, label in enumerate(labels)}
@@ -640,21 +619,15 @@ def parse_definition(text: str) -> CorpusEntry:
         except ValueError as exc:
             raise ParseError(str(exc), 1, 1) from None
     elif kind == "grading":
-        named = _section_map(sections, kind, ("basis", "notes"))
         payload = {"basis": _parse_basis_lines(_require(named, "basis", kind))}
     elif kind == "basis-change":
-        named = _section_map(sections, kind, ("source-basis", "basis", "combos", "notes"))
         old_basis = _parse_basis_lines(_require(named, "source-basis", kind))
         new_basis = _parse_basis_lines(_require(named, "basis", kind))
         old_labels = [label for label, _ in old_basis]
         old_index = {label: k for k, label in enumerate(old_labels)}
         rows: dict[str, list[Scalar]] = {}
-        for number, line in _require(named, "combos", kind):
-            label, label_col, rhs, rhs_col = _split_equals(line, number)
-            if label not in {l for l, _ in new_basis}:
-                raise ParseError(f"{label!r} is not in the new basis", number, label_col)
-            if label in rows:
-                raise ParseError(f"{label!r} is defined twice", number, label_col)
+        for number, label, rhs, rhs_col in _assignments(_require(named, "combos", kind),
+                                                        dict(new_basis), rows, "the new basis"):
             combo = parse_combination(rhs, old_labels, number, rhs_col)
             row = [Scalar() for _ in old_labels]
             for old_label, coeff in combo.items():
@@ -666,19 +639,15 @@ def parse_definition(text: str) -> CorpusEntry:
         payload = {"old_basis": old_basis, "new_basis": new_basis,
                    "matrix": [rows[label] for label, _ in new_basis]}
     else:  # weights
-        named = _section_map(sections, kind,
-                             ("grading-operators", "weights", "split", "notes"))
         grading_labels: list[str] = []
         for number, line in _require(named, "grading-operators", kind):
             grading_labels.extend(line.split())
         weights: dict[str, tuple[Scalar, ...]] = {}
-        weight_order: list[str] = []
         for number, line in _require(named, "weights", kind):
             label, label_col, rhs, rhs_col = _split_equals(line, number)
             if label in weights:
                 raise ParseError(f"duplicate weight line for {label!r}", number, label_col)
             weights[label] = _parse_scalar_tuple(rhs, number, rhs_col, len(grading_labels))
-            weight_order.append(label)
         split: Union[dict[str, list[str]], None] = None
         if "split" in named:
             split = {key: [] for key in _SPLIT_KEYS}
@@ -692,7 +661,7 @@ def parse_definition(text: str) -> CorpusEntry:
                     raise ParseError(f"unknown split bucket {key!r}", number, _indent_col(line))
                 split[key].extend(rest.split())
         payload = {"grading_labels": grading_labels, "weights": weights,
-                   "weight_order": weight_order, "split": split}
+                   "weight_order": list(weights), "split": split}
     notes = "\n".join(line.strip() for _, line in named.get("notes", []))
     return CorpusEntry(entry_id, kind, payload, notes)
 

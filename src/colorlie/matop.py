@@ -8,10 +8,14 @@ assign it, and the graded bracket trusts it.  Addition requires equal
 degrees (a sum of different degrees would not be homogeneous); the zero
 operator is degree-polymorphic so residuals can be formed in any sector.
 
-With a = sum lm (x) A^lm (A^lm the coefficient matrix at Weyl monomial lm),
-a.b has the uncontracted term (lm + rm) (x) A^lm B^rm.  If koszul_sign(deg a,
-deg b) is +1 and the matrices commute (one a multiple of the identity, or both
-diagonal), it cancels in the bracket, so ``graded_bracket`` never forms it.
+The product of terms (i, j, lm) and (j, k, rm) is the uncontracted term
+(i, k, lm + rm) plus the contractions of lm's derivatives with rm's
+variables.  In a bracket of sign +1, a.b - b.a, ``compose`` skips, pair
+by pair, an uncontracted term that the reversed product cancels: a left
+term c (i, i, lm) times a right term (i, k, rm) is matched in b.a by
+(i, k, rm) times (k, k, lm) when the left operand also has c at
+(k, k, lm); a right term c (k, k, rm) likewise, when the right operand
+also has c at (i, i, rm).
 """
 
 from __future__ import annotations
@@ -113,34 +117,20 @@ def scalar_op(d: DiffOp) -> MatDiffOp:
 IDENTITY = scalar_op(weyl.ONE)
 
 
-def _symbol_ranks(op: MatDiffOp) -> dict:
-    """Per monomial with a diagonal coefficient matrix: 2 if it is a multiple
-    of the identity, else 1; the others rank 0.  Two matrices commute when
-    their ranks add up to 2 or more.  Cells compare by ==, not by hash."""
-    diagonal: dict[WeylMonomial, list] = {}
-    off_diagonal = set()
-    for (row, col, mono), coeff in op.terms.items():
-        if row == col:
-            diagonal.setdefault(mono, []).append(coeff)
-        else:
-            off_diagonal.add(mono)
-    return {mono: 2 if len(cells) == 4 and cells.count(cells[0]) == 4 else 1
-            for mono, cells in diagonal.items() if mono not in off_diagonal}
-
-
-def compose(left: MatDiffOp, right: MatDiffOp, ranks: tuple = ({}, {})) -> MatDiffOp:
-    """Matrix product: each left (i, j) term meets each right (j, k) term.  A
-    bracket passes the operands' ``_symbol_ranks`` to skip commuting products."""
-    lranks, rranks = ranks
+def compose(left: MatDiffOp, right: MatDiffOp, commuting: bool = False) -> MatDiffOp:
+    """Matrix product: each left (i, j) term meets each right (j, k) term.  With
+    ``commuting`` (a bracket of sign +1) a pair skips an uncontracted product
+    that right.left cancels (module notes)."""
     right_rows: dict[int, list] = {}
     for (j, k, rm), rc in right.terms.items():
-        right_rows.setdefault(j, []).append((k, rm, rc, rranks.get(rm, 0)))
+        right_rows.setdefault(j, []).append((k, rm, rc))
     terms: dict[MatKey, Scalar] = {}
     for (i, j, lm), lc in left.terms.items():
-        lrank = lranks.get(lm, 0)
-        for k, rm, rc, rrank in right_rows.get(j, ()):
-            # the uncontracted term comes first; commuting symbols drop it
-            product = weyl.mono_product(lm, rm)[lrank + rrank >= 2:]
+        for k, rm, rc in right_rows.get(j, ()):
+            # the uncontracted term comes first
+            skip = commuting and (i == j and left.terms.get((k, k, lm)) == lc
+                                  or j == k and right.terms.get((i, i, rm)) == rc)
+            product = weyl.mono_product(lm, rm)[skip:]
             if product:
                 coeff = lc * rc
                 for factor, mono in product:
@@ -151,9 +141,7 @@ def compose(left: MatDiffOp, right: MatDiffOp, ranks: tuple = ({}, {})) -> MatDi
 def graded_bracket(a: MatDiffOp, b: MatDiffOp) -> MatDiffOp:
     """[[a, b]] by ``lincomb.graded_bracket``, less cancelling products (module notes)."""
     plus = koszul_sign(a.degree, b.degree) == 1
-    ranks = (_symbol_ranks(a), _symbol_ranks(b)) if plus else ({}, {})
-    return lincomb.graded_bracket(
-        a, b, lambda x, y: compose(x, y, ranks if x is a else ranks[::-1]))
+    return lincomb.graded_bracket(a, b, lambda x, y: compose(x, y, plus))
 
 
 def apply(op: MatDiffOp, column: Sequence[DiffOp]) -> list[DiffOp]:

@@ -145,6 +145,36 @@ def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
     assert f"{bad}:9:77: parentheses nest deeper than 64" in err
 
 
+DMODULE = """algebra demo
+kind d-module
+
+basis:
+  A (0,0)
+  B (0,0)
+
+operators:
+  A = 2*dt
+  B = t
+"""
+
+
+@pytest.mark.parametrize("argv, text, old, new, where", [
+    (["extract"], DMODULE, "2*dt", "2²*dt", "9:8: unexpected character '²'"),
+    (["jacobi"], GOOD_TABLE, "-A", "B + A²", "9:17: unexpected character '²'"),
+    (["jacobi"], GOOD_TABLE, "-A", "٣*A", "9:12: unexpected character '٣'"),
+    (["extract"], DMODULE, "A (0,0)", "A² (0,0)", "5:3: expected 'basis element (a1,a2)'"),
+], ids=["superscript-operator", "superscript-table", "arabic-indic-digit", "superscript-label"])
+def test_non_ascii_digits_and_labels_are_parse_errors(capsys, tmp_path, argv, text, old, new,
+                                                      where):
+    # digits and identifiers are ASCII: a superscript two is not an exponent,
+    # an Arabic-Indic three is not 3, and a label no expression could name is refused
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert f"{bad}:{where}" in err
+
+
 def test_extract_matches_reference_table(capsys):
     code, out, err = run(capsys, "extract", "--algebra", "n1",
                          "--realization", "dmodule", "--format", "json")

@@ -10,7 +10,7 @@ from colorlie.grassmann import VarContext
 from colorlie.io import (_MAX_NESTING, CorpusEntry, ParseError, emit_definition, emit_report,
                          emit_table, parse_combination, parse_definition,
                          parse_operator_expr, parse_scalar_expr, table_from_json,
-                         table_to_dict)
+                         table_to_dict, tokenize)
 from colorlie.matop import MatDiffOp
 from colorlie.scalars import GaussianRational, Scalar
 from colorlie.vecfield import GradedDiffOp, partial
@@ -148,6 +148,20 @@ def test_deep_nesting_is_refused_at_the_parenthesis_past_the_bound(kind, section
             parse_definition(text)
         first = text.splitlines()[8].index("(") + 1
         assert (err.value.line, err.value.col) == (9, first + _MAX_NESTING)
+
+
+def test_tokens_carry_the_line_and_column_of_their_first_character():
+    # blanks take a column each and a comment none, so the end of a
+    # commented line sits at its '#'
+    tokens = tokenize("2x1 # note\n  D(z)^2", 4, 7)
+    assert [tuple(token) for token in tokens] == [
+        ("int", 2, 4, 7), ("ident", "x1", 4, 8),
+        ("ident", "D", 5, 3), ("sym", "(", 5, 4), ("ident", "z", 5, 5), ("sym", ")", 5, 6),
+        ("sym", "^", 5, 7), ("int", 2, 5, 8), ("end", "", 5, 9)]
+    assert tokenize("P~' # c")[-1] == ("end", "", 1, 5)
+    with pytest.raises(ParseError, match="unexpected character '²'") as err:
+        tokenize("t\n x²")
+    assert (err.value.line, err.value.col) == (2, 3)
 
 
 def test_zero_expression_parses():

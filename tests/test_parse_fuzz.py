@@ -23,7 +23,8 @@ from colorlie.io import _MAX_NESTING, ParseError, emit_definition, parse_definit
 TEXTS = [path.read_text(encoding="utf-8")
          for path in sorted((resources.files("colorlie") / "defs").iterdir(), key=str)
          if path.name.endswith(".txt")]
-ALPHABET = "0123456789+-*/(),:=[]{}#~' \n\tabcdeilmptxzDHKPQRSX_"
+#: ends in non-ASCII characters, which no digit or identifier may hold
+ALPHABET = "0123456789+-*/(),:=[]{}#~' \n\tabcdeilmptxzDHKPQRSX_²٣é"
 
 
 @st.composite

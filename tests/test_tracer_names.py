@@ -7,15 +7,23 @@ refactor that renames or removes one would break ``bench/run.py
 wrapped method that moves into a base class: the tracer replaces a
 method only in its class's own namespace, so the span would go empty.
 The tracer source is only read and parsed, never imported.
+
+A traced run also imports ``bench/micro.py``, and every run builds its
+inputs with ``bench/workloads.py``; both call the package directly, so
+the last test runs them in a subprocess.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _tables() -> dict:
@@ -52,3 +60,22 @@ def test_tracer_name_resolves(path):
     assert callable(getattr(owner, name))
     if isinstance(owner, type):
         assert name in vars(owner), f"{path} is inherited, not defined on the class"
+
+
+BENCH_SURFACE = """
+import sys
+from pathlib import Path
+import micro, workloads
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+for name in ("reconstruct", "referee"):
+    (out / name).mkdir()
+    assert workloads.build(name, 1, root, out / name).problems == [], name
+micro.run(root)
+"""
+
+
+def test_bench_inputs_and_microbenchmarks_run(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "bench")))
+    done = subprocess.run([sys.executable, "-c", BENCH_SURFACE, str(ROOT), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -141,3 +141,13 @@ def test_order_counts_all_partials():
     dxx = compose(partial(CTX, "x1"), partial(CTX, "x1"))
     assert dxx.order() == 2
     assert multiplier(CTX.poly("x1")).order() == 0
+
+
+@pytest.mark.parametrize("name", ["x1", "z"])
+def test_bracket_keeps_a_partial_that_lowers_an_exponent_from_two_to_one(name):
+    # [D(v), v^2] = 2v for a commuting variable, of degree (0,0) or (1,1): the
+    # contraction leaves v in the monomial, so it must not be taken for the
+    # uncontracted term, which is v^2 D(v) itself
+    v = multiplier(CTX.poly(name))
+    assert graded_bracket(partial(CTX, name), v * v) == v.scale(2)
+    assert graded_bracket(v * v, partial(CTX, name)) == v.scale(-2)
