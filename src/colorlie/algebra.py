@@ -62,6 +62,14 @@ class DegreeViolation(AlgebraError, ValueError):
         self.pair = pair
 
 
+class BadEntry(ValueError):
+    """BracketTable refuses the entry given for the index pair ``pair``."""
+
+    def __init__(self, pair: tuple[int, int], message: str):
+        super().__init__(message)
+        self.pair = pair
+
+
 class BasisMismatch(AlgebraError):
     """Two tables disagree on labels or degrees."""
 
@@ -110,19 +118,14 @@ class BracketTable:
             deg_sum = self.basis[i][1] + self.basis[j][1]
             for target, coeff in entry:
                 if not coeff.is_lam_free:
-                    raise ValueError(
-                        f"structure constant for ({labels[i]},{labels[j]}) depends on lam: {coeff}"
-                    )
+                    raise BadEntry((i, j), f"structure constant for ({labels[i]},{labels[j]}) "
+                                           f"depends on lam: {coeff}")
                 if self.basis[target][1] != deg_sum:
-                    raise ValueError(
-                        f"bracket of {labels[i]} ({self.basis[i][1]}) and {labels[j]} "
-                        f"({self.basis[j][1]}) targets {labels[target]} of degree "
-                        f"{self.basis[target][1]}"
-                    )
+                    raise BadEntry((i, j), f"bracket of {labels[i]} ({self.basis[i][1]}) and "
+                                           f"{labels[j]} ({self.basis[j][1]}) targets "
+                                           f"{labels[target]} of degree {self.basis[target][1]}")
             if i == j and koszul_sign(self.basis[i][1], self.basis[i][1]) == 1:
-                raise ValueError(
-                    f"[[{labels[i]}, {labels[i]}]] is a commutator and must vanish"
-                )
+                raise BadEntry((i, j), f"[[{labels[i]}, {labels[i]}]] is a commutator and must vanish")
             clean[(i, j)] = entry
         self.constants = clean
         self._signed = dict(clean)  # every ordered pair: (j, i) by graded antisymmetry
@@ -215,10 +218,6 @@ class DiscrepancyReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.entries
-
-    def summary(self) -> str:
-        state = "ok" if self.ok else f"{len(self.entries)} discrepancies"
-        return f"{self.subject}: {self.checked} checks, {state}"
 
 
 class Realization:
@@ -408,12 +407,10 @@ def extract_structure_constants(real: Realization) -> BracketTable:
             target = bracket.coordinate_vector()
             coeffs, residual = solver.solve(target)
             if residual:
-                from .io import operator_expr_text  # io imports this module
                 for k, c in enumerate(coeffs):  # bracket - sum c_k op_k, whatever their degrees
                     if c:
                         bracket -= ops[k].scale(Scalar.constant(c)).with_degree(bracket.degree)
-                _diagnose_failure((labels[i], labels[j]), columns, target,
-                                  operator_expr_text(bracket))
+                _diagnose_failure((labels[i], labels[j]), columns, target, str(bracket))
             degree = real.basis[i][1] + real.basis[j][1]
             for k, c in enumerate(coeffs):
                 if c and real.basis[k][1] != degree:

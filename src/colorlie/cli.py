@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export", help="print a corpus entry in an interchange format")
     export.add_argument("--entry", required=True,
-                        help="corpus entry id (see `export --list`)")
+                        help="corpus entry id such as g22.table; an unknown id "
+                             "prints the known ones")
     export.add_argument("--format", choices=("definition", "text", "json", "latex"),
                         default="definition")
     return parser
@@ -157,23 +158,12 @@ def _jacobi_chunk(payload) -> DiscrepancyReport:
     return check_jacobi(table, triples)
 
 
-def _emit_checks(report: DiscrepancyReport, fmt: str, counted: str, problems: str) -> str:
-    """Text: '<subject>: <counted> verified', or '... checked, N <problems>' and the entries."""
-    if fmt != "text":
-        return emit_report(report, fmt)
-    if report.ok:
-        return f"{report.subject}: {counted} verified\n"
-    lines = [f"{report.subject}: {counted} checked, {len(report.entries)} {problems}"]
-    lines += [f"  {item}" for item in report.entries]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_verify(args) -> int:
     real, table, subject = _resolve_verify(args)
     report = _verify_chunk((real, table, None))._replace(subject=subject)
-    sys.stdout.write(_emit_checks(report, args.format,
-                                  f"{len(real.basis)} generators, {report.checked} unordered pairs",
-                                  "discrepancies"))
+    sys.stdout.write(emit_report(report, args.format,
+                                 f"{len(real.basis)} generators, {report.checked} unordered pairs",
+                                 "discrepancies"))
     return 0 if report.ok else 1
 
 
@@ -204,7 +194,7 @@ def _cmd_jacobi(args) -> int:
     else:
         raise CliError("jacobi needs --algebra or --file")
     report = _jacobi_chunk((table, None))._replace(subject=subject)
-    sys.stdout.write(_emit_checks(report, args.format, f"{report.checked} triples", "failures"))
+    sys.stdout.write(emit_report(report, args.format, f"{report.checked} triples", "failures"))
     return 0 if report.ok else 1
 
 

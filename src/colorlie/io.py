@@ -15,7 +15,10 @@ Operator expressions use a small grammar shared by every file kind::
     IDENT      := [A-Za-z_][A-Za-z0-9_~']*
 
 Every token is ASCII; any other character is an error.  IDENT is also
-the rule for basis labels and variable names.
+the rule for basis labels, variable names, grading operators, weight
+labels and split labels; the `algebra <id>` head line takes IDENTs joined
+by `.` (`g22.table_pm`).  Operators print as this grammar reads them:
+``str(op)`` of a matrix or graded operator is its definition-file text.
 
 `t, x, dt, dx, e(i,j)` build matrix differential operators; `D(v)` and
 declared variable names build graded differential operators; a bare
@@ -45,7 +48,7 @@ from .grading import Degree, koszul_sign
 from .lincomb import add_into, signed_sum, term_text
 from .scalars import GaussianRational, Scalar, as_scalar
 from . import matop, scalars, vecfield, weyl
-from .algebra import AlgebraError, BracketTable, DiscrepancyReport, Realization
+from .algebra import AlgebraError, BadEntry, BracketTable, DiscrepancyReport, Realization
 from .grassmann import VarContext
 from .matop import MatDiffOp
 from .vecfield import GradedDiffOp
@@ -363,34 +366,6 @@ def parse_combination(text: str, labels: Sequence[str], line: int = 1, col: int 
 
 
 # ---------------------------------------------------------------------------
-# expression emission (inverse of the grammar above)
-
-
-def scalar_expr_text(scalar: Scalar) -> str:
-    """A scalar as expression text, parenthesized when it is a sum."""
-    return term_text(str(scalar), [])
-
-
-def mat_expr_text(op: MatDiffOp) -> str:
-    """A matrix operator as expression text over e(i,j) factors."""
-    parts = [f"e({i + 1},{j + 1})*({entry})" for i, j, entry in op.nonzero_entries()]
-    return " + ".join(parts) if parts else "0"
-
-
-def graded_expr_text(op: GradedDiffOp) -> str:
-    """A graded operator as expression text (its str form already parses)."""
-    return str(op)
-
-
-def operator_expr_text(op) -> str:
-    if isinstance(op, MatDiffOp):
-        return mat_expr_text(op)
-    if isinstance(op, GradedDiffOp):
-        return graded_expr_text(op)
-    return scalar_expr_text(as_scalar(op))
-
-
-# ---------------------------------------------------------------------------
 # definition files
 
 #: the sections an entry of each kind may hold besides `notes`
@@ -407,6 +382,9 @@ _SECTIONS = {"notes", *(name for names in _LAYOUT.values() for name in names)}
 _BASIS_LINE_RE = re.compile(rf"({_IDENT})\s*\(\s*([01])\s*,\s*([01])\s*\)")
 _BRACKET_RE = re.compile(rf"([\[{{])\s*({_IDENT})\s*,\s*({_IDENT})\s*([\]}}])")
 _SPLIT_KEYS = ("positive", "zero", "negative")
+_IDENT_RE = re.compile(_IDENT)
+_ID_RE = re.compile(rf"{_IDENT}(?:\.{_IDENT})*")
+_WORD_RE = re.compile(r"\S+")
 
 
 class CorpusEntry(NamedTuple):
@@ -432,10 +410,23 @@ def _split_sections(text: str):
             current = []
             sections.append((number, line[:-1], current))
         elif current is None:
-            head.append((number, stripped))
+            head.append((number, line))
         else:
             current.append((number, line))
     return head, sections
+
+
+def _labels(line: str, number: int, start: int = 0) -> list[str]:
+    """The whitespace-separated words of line[start:], each an IDENT."""
+    return [_ident(match.group(), number, match.start() + 1)
+            for match in _WORD_RE.finditer(line, start)]
+
+
+def _ident(word: str, number: int, col: int, rule: re.Pattern = _IDENT_RE,
+           what: str = "an identifier") -> str:
+    if not rule.fullmatch(word):
+        raise ParseError(f"{word!r} is not {what}", number, col)
+    return word
 
 
 def _indent_col(line: str) -> int:
@@ -525,6 +516,16 @@ def _require(sections: Mapping[str, list], name: str, kind: str):
     return sections[name]
 
 
+def _of_degree(value, label: str, degree: Degree, number: int, col: int):
+    """The operator `value` defining `label` of `degree`; zero takes that degree."""
+    if value.is_zero:
+        return value.with_degree(degree)
+    if value.degree != degree:
+        raise ParseError(f"{label} evaluates to degree {value.degree}, basis says {degree}",
+                         number, col)
+    return value
+
+
 def _parse_operator_sections(sections, kind: str, basis, context=None):
     """Shared operators/derived handling for realization kinds."""
     degrees = dict(basis)
@@ -532,33 +533,21 @@ def _parse_operator_sections(sections, kind: str, basis, context=None):
     for number, label, rhs, rhs_col in _assignments(_require(sections, "operators", kind),
                                                     degrees, ops):
         value = _ExprParser(rhs, number, rhs_col, context=context, definitions=ops).parse_all()
-        declared = degrees[label]
         if isinstance(value, Scalar):
             value = _promote(value, context)
         if isinstance(value, MatDiffOp) != (context is None):
             flavour = "matrix operator" if context is None else "graded vector field"
             raise ParseError(f"a {kind} entry defines {flavour}s", number, rhs_col)
-        if isinstance(value, MatDiffOp):
-            value = value.with_degree(declared)
-        elif value.is_zero:
-            value = vecfield.zero(context, declared)
-        elif value.degree != declared:
-            raise ParseError(
-                f"{label} evaluates to degree {value.degree}, basis says {declared}",
-                number, rhs_col)
-        ops[label] = value
+        if isinstance(value, MatDiffOp):  # a matrix operator's degree is what the basis says
+            value = value.with_degree(degrees[label])
+        ops[label] = _of_degree(value, label, degrees[label], number, rhs_col)
     operator_order = list(ops)
 
     derived: list[tuple[str, str, tuple[str, str]]] = []
     for number, label, rhs, rhs_col in _assignments(sections.get("derived", []), degrees, ops):
         defined = {name: op.degree for name, op in ops.items()}
         symbol, la, lb = _bracket_head(rhs, number, rhs_col, defined, "{!r} is not defined yet")
-        value = ops[la].bracket(ops[lb])
-        if not value.is_zero and value.degree != degrees[label]:
-            raise ParseError(
-                f"{label} evaluates to degree {value.degree}, basis says {degrees[label]}",
-                number, rhs_col)
-        ops[label] = value
+        ops[label] = _of_degree(ops[la].bracket(ops[lb]), label, degrees[label], number, rhs_col)
         derived.append((label, symbol, (la, lb)))
 
     missing = [label for label, _ in basis if label not in ops]
@@ -573,10 +562,11 @@ def parse_definition(text: str) -> CorpusEntry:
     head, sections = _split_sections(text)
     if len(head) < 2:
         raise ParseError("expected 'algebra <id>' and 'kind <kind>' head lines", 1, 1)
-    entry_id = _head_field(head[0], "algebra")
-    kind = _head_field(head[1], "kind")
+    entry_id, id_col = _head_field(head[0], "algebra")
+    _ident(entry_id, head[0][0], id_col, _ID_RE, "an id: identifiers joined by '.'")
+    kind = _head_field(head[1], "kind")[0]
     for number, line in head[2:]:
-        raise ParseError(f"unexpected line before the first section: {line!r}", number, 1)
+        raise ParseError(f"unexpected line before the first section: {line.strip()!r}", number, 1)
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})", head[1][0], 1)
     named = _section_map(sections, kind)
@@ -596,7 +586,7 @@ def parse_definition(text: str) -> CorpusEntry:
         index = {label: k for k, label in enumerate(labels)}
         degrees = dict(basis)
         constants: dict[tuple[int, int], list] = {}
-        stated: set[tuple[int, int]] = set()
+        where: dict[tuple[int, int], tuple[int, int]] = {}  # stored pair -> its bracket's position
         for number, line in _require(named, "table", kind):
             headtext, head_col, rhs, rhs_col = _split_equals(line, number)
             symbol, la, lb = _bracket_head(headtext, number, head_col, degrees,
@@ -609,15 +599,15 @@ def parse_definition(text: str) -> CorpusEntry:
                 sign = -koszul_sign(degrees[la], degrees[lb])
                 entry = [(target, coeff * sign) for target, coeff in entry]
                 i, j = j, i
-            if (i, j) in stated:
+            if (i, j) in where:
                 raise ParseError(f"duplicate entry for ({la}, {lb})", number, head_col)
-            stated.add((i, j))
+            where[(i, j)] = (number, head_col)
             if entry:
                 constants[(i, j)] = entry
         try:
             payload = {"table": BracketTable(basis, constants)}
-        except ValueError as exc:
-            raise ParseError(str(exc), 1, 1) from None
+        except BadEntry as exc:
+            raise ParseError(str(exc), *where[exc.pair]) from None
     elif kind == "grading":
         payload = {"basis": _parse_basis_lines(_require(named, "basis", kind))}
     elif kind == "basis-change":
@@ -641,10 +631,11 @@ def parse_definition(text: str) -> CorpusEntry:
     else:  # weights
         grading_labels: list[str] = []
         for number, line in _require(named, "grading-operators", kind):
-            grading_labels.extend(line.split())
+            grading_labels.extend(_labels(line, number))
         weights: dict[str, tuple[Scalar, ...]] = {}
         for number, line in _require(named, "weights", kind):
             label, label_col, rhs, rhs_col = _split_equals(line, number)
+            _ident(label, number, label_col)
             if label in weights:
                 raise ParseError(f"duplicate weight line for {label!r}", number, label_col)
             weights[label] = _parse_scalar_tuple(rhs, number, rhs_col, len(grading_labels))
@@ -652,26 +643,26 @@ def parse_definition(text: str) -> CorpusEntry:
         if "split" in named:
             split = {key: [] for key in _SPLIT_KEYS}
             for number, line in named["split"]:
-                if ":" not in line:
+                key, colon, _ = line.partition(":")
+                if not colon:
                     raise ParseError("expected 'positive|zero|negative: labels...'",
                                      number, _indent_col(line))
-                key, _, rest = line.partition(":")
-                key = key.strip()
-                if key not in _SPLIT_KEYS:
-                    raise ParseError(f"unknown split bucket {key!r}", number, _indent_col(line))
-                split[key].extend(rest.split())
+                if key.strip() not in split:
+                    raise ParseError(f"unknown split bucket {key.strip()!r}", number, _indent_col(line))
+                split[key.strip()].extend(_labels(line, number, len(key) + 1))
         payload = {"grading_labels": grading_labels, "weights": weights,
                    "weight_order": list(weights), "split": split}
     notes = "\n".join(line.strip() for _, line in named.get("notes", []))
     return CorpusEntry(entry_id, kind, payload, notes)
 
 
-def _head_field(head_line: tuple[int, str], expected: str) -> str:
+def _head_field(head_line: tuple[int, str], expected: str) -> tuple[str, int]:
+    """'<expected> <value>' -> (value, column of value)."""
     number, line = head_line
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != expected:
+    words = list(_WORD_RE.finditer(line))
+    if len(words) != 2 or words[0].group() != expected:
         raise ParseError(f"expected '{expected} <value>'", number, 1)
-    return parts[1]
+    return words[1].group(), words[1].start() + 1
 
 
 def _parse_scalar_tuple(text: str, line: int, col: int, arity: int) -> tuple[Scalar, ...]:
@@ -711,7 +702,7 @@ def emit_definition(entry: CorpusEntry) -> str:
         realization = payload["realization"]
         out.append("operators:")
         for label in payload["operator_order"]:
-            out.append(f"  {label} = {operator_expr_text(realization.op(label))}")
+            out.append(f"  {label} = {realization.op(label)}")
         out.append("")
         if payload["derived"]:
             out.append("derived:")
@@ -720,14 +711,9 @@ def emit_definition(entry: CorpusEntry) -> str:
                 out.append(f"  {label} = {opening}{la}, {lb}{closing}")
             out.append("")
     elif entry.kind == "table":
-        table: BracketTable = payload["table"]
-        basis_section("basis", table.basis)
+        basis_section("basis", payload["table"].basis)
         out.append("table:")
-        for (i, j), entry_value in sorted(table.constants.items()):
-            la, da = table.basis[i]
-            lb, db = table.basis[j]
-            opening, closing = _delimiters(da, db)
-            out.append(f"  {opening}{la}, {lb}{closing} = {table.combo_str(entry_value)}")
+        out.extend(f"  {line}" for line in _bracket_lines(payload["table"], ", "))
         out.append("")
     elif entry.kind == "grading":
         basis_section("basis", payload["basis"])
@@ -737,7 +723,8 @@ def emit_definition(entry: CorpusEntry) -> str:
         out.append("combos:")
         old_labels = [label for label, _ in payload["old_basis"]]
         for row, (label, _) in zip(payload["matrix"], payload["new_basis"]):
-            out.append(f"  {label} = {_combo_text(zip(old_labels, row))}")
+            combo = signed_sum(term_text(str(c), [old]) for old, c in zip(old_labels, row) if c)
+            out.append(f"  {label} = {combo}")
         out.append("")
     elif entry.kind == "weights":
         out.append("grading-operators:")
@@ -760,8 +747,12 @@ def emit_definition(entry: CorpusEntry) -> str:
     return "\n".join(out)
 
 
-def _combo_text(pairs) -> str:
-    return signed_sum(term_text(str(as_scalar(coeff)), [label]) for label, coeff in pairs if coeff)
+def _bracket_lines(table: BracketTable, comma: str):
+    """'[A,<comma>B] = combination' for each stored entry, in index order."""
+    for (i, j), entry in sorted(table.constants.items()):
+        (la, da), (lb, db) = table.basis[i], table.basis[j]
+        opening, closing = _delimiters(da, db)
+        yield f"{opening}{la}{comma}{lb}{closing} = {table.combo_str(entry)}"
 
 
 # ---------------------------------------------------------------------------
@@ -905,13 +896,7 @@ def table_to_latex(table: BracketTable) -> str:
 def emit_table(table: BracketTable, fmt: str = "text") -> str:
     """Render a bracket table as text lines, JSON, or LaTeX."""
     if fmt == "text":
-        lines = []
-        for (i, j), entry in sorted(table.constants.items()):
-            la, da = table.basis[i]
-            lb, db = table.basis[j]
-            opening, closing = _delimiters(da, db)
-            lines.append(f"{opening}{la},{lb}{closing} = {table.combo_str(entry)}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(_bracket_lines(table, ",")) + "\n"
     if fmt == "json":
         return json_text(table_to_dict(table))
     if fmt == "latex":
@@ -932,16 +917,24 @@ def report_to_dict(report: DiscrepancyReport) -> dict:
     }
 
 
-def emit_report(report: DiscrepancyReport, fmt: str = "text") -> str:
-    """Render a verification report as text, JSON, or LaTeX."""
+def emit_report(report: DiscrepancyReport, fmt: str, counted: str, problems: str) -> str:
+    """Render a check report as text, JSON, or LaTeX.
+
+    Text reads '<subject>: <counted> verified', or '<subject>: <counted>
+    checked, N <problems>' and one line per entry: `counted` says what was
+    checked ('12 triples'), `problems` names the entries ('failures').
+    """
     if fmt == "text":
-        lines = [report.summary()]
-        lines.extend(f"  {item}" for item in report.entries)
+        if report.ok:
+            return f"{report.subject}: {counted} verified\n"
+        lines = [f"{report.subject}: {counted} checked, {len(report.entries)} {problems}"]
+        lines += [f"  {item}" for item in report.entries]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json_text(report_to_dict(report))
     if fmt == "latex":
-        out = [r"% " + report.summary(), r"\begin{itemize}"]
+        state = "ok" if report.ok else f"{len(report.entries)} discrepancies"
+        out = [f"% {report.subject}: {report.checked} checks, {state}", r"\begin{itemize}"]
         if report.ok:
             out.append(r"\item all %d checks passed exactly" % report.checked)
         for item in report.entries:

@@ -142,9 +142,10 @@ def term_text(coeff: str, factors: Sequence[str], sep: str = "*") -> str:
     """
     if coeff in ("1", "-1") and factors:
         return coeff[:-1] + sep.join(factors)
-    depths = list(accumulate((char == "(") - (char == ")") for char in coeff))
-    if ("+" in coeff[1:] or "-" in coeff[1:]) and (coeff[0] != "(" or 0 in depths[:-1]):
-        coeff = f"({coeff})"
+    if "+" in coeff[1:] or "-" in coeff[1:]:
+        depths = list(accumulate((char == "(") - (char == ")") for char in coeff))
+        if coeff[0] != "(" or 0 in depths[:-1]:
+            coeff = f"({coeff})"
     return sep.join([coeff, *factors])
 
 

@@ -95,11 +95,11 @@ class MatDiffOp(LinComb):
                 for exp, value in coeff.items()}
 
     def __repr__(self) -> str:
-        cells = {f"({i+1},{j+1})": str(d) for i, j, d in self.nonzero_entries()}
-        return f"MatDiffOp(degree={self.degree}, entries={cells})"
+        return f"MatDiffOp(degree={self.degree}, terms={str(self)!r})"
 
     def __str__(self) -> str:
-        return "; ".join(f"[{i+1},{j+1}] {d}" for i, j, d in self.nonzero_entries()) or "0"
+        """Definition-file text: 'e(1,1)*(t*dt) + e(2,2)*(lam)', or '0'."""
+        return " + ".join(f"e({i+1},{j+1})*({d})" for i, j, d in self.nonzero_entries()) or "0"
 
 
 def elem(i: int, j: int) -> MatDiffOp:

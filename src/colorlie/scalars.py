@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Union
 
-from .lincomb import Frozen, add_into, setslot, signed_sum
+from .lincomb import Frozen, add_into, setslot, signed_sum, term_text
 RationalLike = Union[int, Fraction]
 
 
@@ -137,7 +137,6 @@ def _as_gauss(value) -> GaussianRational:
 
 
 QI_ZERO = GaussianRational(0)
-QI_ONE = GaussianRational(1)
 QI_I = GaussianRational(0, 1)
 
 
@@ -276,20 +275,10 @@ class Scalar(Frozen):
         return f"Scalar({self._terms!r})"
 
     def __str__(self) -> str:
-        parts = []
-        for exp in sorted(self._terms, reverse=True):
-            coeff = self._terms[exp]
-            if exp == 0:
-                parts.append(str(coeff))
-            else:
-                lam = "lam" if exp == 1 else "lam^" + str(exp)
-                if coeff == QI_ONE:
-                    parts.append(lam)
-                elif coeff == -QI_ONE:
-                    parts.append("-" + lam)
-                else:
-                    parts.append(f"{coeff}*{lam}")
-        return signed_sum(parts)
+        def power(exp: int) -> list[str]:
+            return [] if exp == 0 else ["lam"] if exp == 1 else [f"lam^{exp}"]
+        return signed_sum(term_text(str(self._terms[exp]), power(exp))
+                          for exp in sorted(self._terms, reverse=True))
 
 
 def as_scalar(value) -> Scalar:

@@ -224,6 +224,45 @@ def test_extract_failures_are_reported(capsys, tmp_path, operators, error, reaso
     assert code == 1 and reason in out and "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("text", [
+    _dmodule("  A = t\n  B = x\n\nderived:\n  C = [A, B]\n", _AB + "  C (0,1)\n"),
+    "algebra demo\nkind vector-field\n\nvariables:\n  x1 (0,0)\n\nbasis:\n  A (0,0)\n"
+    "  C (0,1)\n\noperators:\n  A = D(x1)\n\nderived:\n  C = [A, A]\n",
+], ids=["d-module", "vector-field"])
+def test_a_vanishing_derived_bracket_takes_its_declared_degree(capsys, tmp_path, text):
+    # C = 0 is declared (0,1); the realization holds it, and extract finds it dependent
+    real_path = tmp_path / "real.txt"
+    real_path.write_text(text)
+    code, out, err = run(capsys, "extract", "--file", str(real_path))
+    assert (code, err) == (1, "")
+    assert out.startswith(f"{real_path}: extraction failed\n"
+                          "  the basis operators are linearly dependent")
+    assert parse_definition(text).payload["realization"].op("C").degree == (0, 1)
+
+
+@pytest.mark.parametrize("entries, where, reason", [
+    ("  [A, A] = 0\n    [B, A] = lam*A\n", "11:5", "structure constant for (A,B) depends on lam"),
+    ("  [A, A] = 0\n  [A, B] = P\n", "11:3",
+     "bracket of A ((0,0)) and B ((0,0)) targets P of degree (1,1)"),
+    ("  [A, B] = -A\n  [B, B] = B\n", "11:3", "[[B, B]] is a commutator and must vanish"),
+], ids=["lam", "target-degree", "commuting-square"])
+def test_table_entry_errors_point_at_the_entry(capsys, tmp_path, entries, where, reason):
+    table_path = tmp_path / "table.txt"
+    table_path.write_text("algebra demo\nkind table\n\nbasis:\n  A (0,0)\n  B (0,0)\n"
+                          "  P (1,1)\n\ntable:\n" + entries)
+    code, out, err = run(capsys, "jacobi", "--file", str(table_path))
+    assert (code, out) == (2, "")
+    assert f"{table_path}:{where}: {reason}" in err
+
+
+def test_an_id_outside_the_identifier_rule_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(GOOD_TABLE.replace("algebra demo", "algebra démo"), encoding="utf-8")
+    code, out, err = run(capsys, "jacobi", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert f"{bad}:1:9: 'démo' is not an id" in err
+
+
 def test_extract_reports_a_coefficient_rational_in_lam(capsys, tmp_path):
     # [A, B] = dx = C/(lam-1): the span closes over rational functions of lam,
     # no constant combination gives dx, and at lam = 1 the column of C vanishes
@@ -348,3 +387,8 @@ def test_jacobi_parallel_matches_serial(capsys):
     parallel = run(capsys, "jacobi", "--algebra", "n1", "--jobs", "4")
     assert serial == parallel == (
         0, "graded Jacobi on n1 table (standard): 2197 triples verified\n", "")
+
+
+def test_export_help_points_to_no_missing_option(capsys):
+    code, out, err = run(capsys, "export", "--help")
+    assert code == 0 and "--list" not in out and "an unknown id" in out

@@ -46,3 +46,9 @@ def test_json_and_pool_load_only_when_used():
     code, out, loaded = run_child("jacobi", "--algebra", "n1", "--format", "json", "--jobs", "2")
     assert code == 0 and json.loads(out)["checked"] == 13 ** 3
     assert loaded == ["json"]
+
+
+def test_algebra_imports_nothing_from_io():
+    # io reads and writes algebra's values; algebra prints its residuals with str(op)
+    tree = ast.parse((SRC / "colorlie" / "algebra.py").read_text(encoding="utf-8"))
+    assert "io" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

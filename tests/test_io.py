@@ -303,9 +303,89 @@ def test_report_emitters():
     from colorlie.algebra import Discrepancy, DiscrepancyReport
     report = DiscrepancyReport("demo", 3, [
         Discrepancy("bracket", ("A", "B"), "0", "C", "C")])
-    text = emit_report(report, "text")
-    assert "demo: 3 checks, 1 discrepancies" in text
-    js = emit_report(report, "json")
+    text = emit_report(report, "text", "3 pairs", "discrepancies")
+    assert text == "demo: 3 pairs checked, 1 discrepancies\n  [A, B] expected 0; computed C; residual C\n"
+    assert emit_report(report._replace(entries=()), "text", "3 pairs", "discrepancies") \
+        == "demo: 3 pairs verified\n"
+    js = emit_report(report, "json", "3 pairs", "discrepancies")
     assert '"ok": false' in js
-    tex = emit_report(report, "latex")
-    assert r"\begin{itemize}" in tex
+    tex = emit_report(report, "latex", "3 pairs", "discrepancies")
+    assert tex.startswith("% demo: 3 checks, 1 discrepancies\n" r"\begin{itemize}")
+
+
+WEIGHTS = """algebra g22
+kind weights
+
+grading-operators:
+  D Rbar
+
+weights:
+  H = (1, 0)
+  D = (0, 0)
+
+split:
+  positive: H
+  zero: D
+"""
+
+
+@pytest.mark.parametrize("old, new, line, col, word", [
+    ("  D Rbar", "  D H²", 5, 5, "H²"),
+    ("  H = (1, 0)", "  A² = (1, 0)", 8, 3, "A²"),
+    ("  zero: D", "  zero: D Zé", 13, 11, "Zé"),
+    ("algebra g22", "algebra démo", 1, 9, "démo"),
+    ("algebra g22", "algebra g22.", 1, 9, "g22."),
+], ids=["grading-operator", "weight-label", "split-label", "id", "id-trailing-dot"])
+def test_weights_labels_and_ids_follow_the_identifier_rule(old, new, line, col, word):
+    with pytest.raises(ParseError) as info:
+        parse_definition(WEIGHTS.replace(old, new, 1))
+    assert (info.value.line, info.value.col) == (line, col)
+    assert info.value.reason.startswith(f"{word!r} is not")
+
+
+def test_dotted_ids_parse_and_round_trip():
+    entry = parse_definition(WEIGHTS.replace("algebra g22", "algebra g22.table_pm", 1))
+    assert entry.id == "g22.table_pm"
+    assert entry.payload["grading_labels"] == ["D", "Rbar"]
+    assert entry.payload["split"] == {"positive": ["H"], "zero": ["D"], "negative": []}
+    assert parse_definition(emit_definition(entry)) == entry
+
+
+def _parses_back(text: str, op):
+    """The printed operator reads back as the operator, up to its degree metadata."""
+    parsed = parse_operator_expr(text, getattr(op, "ctx", None))
+    assert type(parsed) is type(op)
+    assert parsed.with_degree(op.degree) == op
+    assert str(parsed) == text
+
+
+def test_printed_residuals_parse_back():
+    from pathlib import Path
+    from colorlie import corpus
+    from colorlie.algebra import ClosureFailure, extract_structure_constants, verify_realization
+    golden = Path(__file__).parent / "golden"
+
+    def read(name):
+        return parse_definition((golden / name).read_text(encoding="utf-8")).payload
+
+    # verify: a matrix realization against a wrong table, and the corpus's graded one
+    for real, table in ((read("dmodule.txt")["realization"], read("bad_table.txt")["table"]),
+                        corpus.realization("g22", "vectorfield")):
+        report = verify_realization(real, table)
+        assert report.entries
+        for item in report.entries:
+            computed = residual = real.bracket(*item.labels)
+            for target, coeff in table.bracket_by_label(*item.labels):
+                residual = residual - real.op(table.basis[target][0]).scale(coeff)
+            _parses_back(item.computed, computed)
+            _parses_back(item.residual, residual)
+
+    # extract: brackets that leave the span of operators they share no terms with
+    for head, operators in (("kind d-module\n", "  A = t^2*dt\n  B = dt\n"),
+                            ("kind vector-field\n\nvariables:\n  x1 (0,0)\n",
+                             "  A = D(x1)\n  B = x1^2*D(x1)\n")):
+        real = parse_definition("algebra demo\n" + head + "\nbasis:\n  A (0,0)\n  B (0,0)\n"
+                                "\noperators:\n" + operators).payload["realization"]
+        with pytest.raises(ClosureFailure) as info:
+            extract_structure_constants(real)
+        _parses_back(info.value.residual, real.bracket("A", "B"))
