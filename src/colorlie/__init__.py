@@ -24,7 +24,6 @@ from .algebra import (
     SingularTransform,
     change_basis,
     check_jacobi,
-    compare_tables,
     derived_generators,
     extract_structure_constants,
     triangular_split,
@@ -41,7 +40,7 @@ __all__ = [
     "BracketTable", "Realization", "Discrepancy", "DiscrepancyReport",
     "AlgebraError", "ClosureFailure", "DependentBasis", "LambdaDependence",
     "BasisMismatch", "SingularTransform", "DegreeMixing", "DegreeViolation", "NotEigenvector",
-    "check_jacobi", "extract_structure_constants", "compare_tables",
+    "check_jacobi", "extract_structure_constants",
     "change_basis", "weights", "triangular_split", "verify_realization",
     "derived_generators",
     "__version__",

@@ -51,14 +51,19 @@ class LambdaDependence(AlgebraError):
         self.pair = pair
 
 
+def _wrong_degree(pair: tuple[str, str], degree: Degree, target: BasisItem) -> str:
+    """The one wording of a bracket entry outside the sum of its operand degrees."""
+    return (f"bracket of {pair[0]} and {pair[1]} has degree {degree} but targets "
+            f"{target[0]} of degree {target[1]}")
+
+
 class DegreeViolation(AlgebraError, ValueError):
     """A bracket solves onto a basis element outside the sum of its operand degrees.
 
     Also a ValueError: BracketTable refuses such an entry with one."""
 
     def __init__(self, pair: tuple[str, str], degree: Degree, target: BasisItem):
-        super().__init__(f"bracket of {pair[0]} and {pair[1]} has degree {degree} but targets "
-                         f"{target[0]} of degree {target[1]}")
+        super().__init__(_wrong_degree(pair, degree, target))
         self.pair = pair
 
 
@@ -121,9 +126,8 @@ class BracketTable:
                     raise BadEntry((i, j), f"structure constant for ({labels[i]},{labels[j]}) "
                                            f"depends on lam: {coeff}")
                 if self.basis[target][1] != deg_sum:
-                    raise BadEntry((i, j), f"bracket of {labels[i]} ({self.basis[i][1]}) and "
-                                           f"{labels[j]} ({self.basis[j][1]}) targets "
-                                           f"{labels[target]} of degree {self.basis[target][1]}")
+                    raise BadEntry((i, j), _wrong_degree((labels[i], labels[j]), deg_sum,
+                                                         self.basis[target]))
             if i == j and koszul_sign(self.basis[i][1], self.basis[i][1]) == 1:
                 raise BadEntry((i, j), f"[[{labels[i]}, {labels[i]}]] is a commutator and must vanish")
             clean[(i, j)] = entry
@@ -151,15 +155,6 @@ class BracketTable:
     def combo_str(self, entry) -> str:
         """Human form of a combination: '2*H-R', '0'."""
         return signed_sum(term_text(str(coeff), [self.basis[target][0]]) for target, coeff in entry)
-
-    def sector(self, da: Degree, db: Degree):
-        """Stored entries whose operand degrees form the unordered pair {da, db}."""
-        wanted = {da, db}
-        out = []
-        for (i, j), entry in sorted(self.constants.items()):
-            if {self.basis[i][1], self.basis[j][1]} == wanted:
-                out.append((i, j, entry))
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BracketTable):
@@ -191,11 +186,6 @@ class BracketTable:
                 if remapped:
                     constants[(ni, nj)] = remapped
         return BracketTable(new_basis, constants)
-
-    def restrict_degrees(self, degrees) -> BracketTable:
-        degrees = set(degrees)
-        labels = [l for l, d in self.basis if d in degrees]
-        return self.restrict(labels)
 
 
 class Discrepancy(NamedTuple):
@@ -251,12 +241,6 @@ class Realization:
 
     def bracket(self, la: str, lb: str):
         return self.ops[la].bracket(self.ops[lb])
-
-    def restrict(self, labels: Sequence[str], rename: Union[Mapping[str, str], None] = None) -> Realization:
-        rename = dict(rename or {})
-        basis = [(rename.get(l, l), self.basis[self.index[l]][1]) for l in labels]
-        ops = {rename.get(l, l): self.ops[l] for l in labels}
-        return Realization(basis, ops)
 
     def transform(self, new_basis: Sequence[BasisItem], matrix: Sequence[Sequence[Scalar]]) -> Realization:
         """New operators new_i = sum_j matrix[i][j] * old_j."""
@@ -419,32 +403,6 @@ def extract_structure_constants(real: Realization) -> BracketTable:
     return BracketTable(real.basis, constants)
 
 
-def compare_tables(expected: BracketTable, computed: BracketTable) -> DiscrepancyReport:
-    """Entry-by-entry comparison of two tables over the same basis."""
-    if expected.basis != computed.basis:
-        raise BasisMismatch(
-            f"bases differ: {expected.basis!r} vs {computed.basis!r}"
-        )
-    entries = []
-    n = len(expected.basis)
-    for i in range(n):
-        for j in range(i, n):
-            left = expected.constants.get((i, j), ())
-            right = computed.constants.get((i, j), ())
-            if left == right:
-                continue
-            delta: dict[int, Scalar] = dict(left)
-            for target, coeff in right:
-                add_into(delta, target, -coeff)
-            labels = (expected.basis[i][0], expected.basis[j][0])
-            entries.append(Discrepancy(
-                "table", labels,
-                expected.combo_str(left), computed.combo_str(right),
-                expected.combo_str(sorted(delta.items())),
-            ))
-    return DiscrepancyReport("table comparison", n * (n + 1) // 2, tuple(entries))
-
-
 def weights(table: BracketTable, grading_labels: Sequence[str]) -> dict[str, tuple[Scalar, ...]]:
     """Eigenvalues of ad(grading element) on each basis element.
 
@@ -484,15 +442,13 @@ def triangular_split(weight_map: Mapping[str, tuple[Scalar, ...]]) -> dict[str, 
     return split
 
 
-def verify_realization(real: Realization, table: BracketTable,
-                       pairs: Union[Sequence[tuple[int, int]], None] = None) -> DiscrepancyReport:
+def verify_realization(real: Realization, table: BracketTable) -> DiscrepancyReport:
     """Replay every bracket of the realization against the table."""
     if real.basis != table.basis:
         raise BasisMismatch("realization and table bases differ")
     labels = real.labels()
     n = len(labels)
-    if pairs is None:
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     entries = []
     for i, j in pairs:
         computed = real.op(labels[i]).bracket(real.op(labels[j]))

@@ -148,9 +148,10 @@ def _resolve_verify(args) -> tuple[Realization, BracketTable, str]:
 
 # _verify_chunk and _jacobi_chunk keep their names and one-payload signature
 # because bench/tracer.py wraps them by name (CHUNKS) and calls fn(payload).
+# The payloads are (realization, table) and (table, triples or None).
 def _verify_chunk(payload) -> DiscrepancyReport:
-    real, table, pairs = payload
-    return verify_realization(real, table, pairs)
+    real, table = payload
+    return verify_realization(real, table)
 
 
 def _jacobi_chunk(payload) -> DiscrepancyReport:
@@ -160,7 +161,7 @@ def _jacobi_chunk(payload) -> DiscrepancyReport:
 
 def _cmd_verify(args) -> int:
     real, table, subject = _resolve_verify(args)
-    report = _verify_chunk((real, table, None))._replace(subject=subject)
+    report = _verify_chunk((real, table))._replace(subject=subject)
     sys.stdout.write(emit_report(report, args.format,
                                  f"{len(real.basis)} generators, {report.checked} unordered pairs",
                                  "discrepancies"))

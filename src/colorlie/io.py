@@ -1,4 +1,4 @@
-"""Text and JSON interchange for operators, tables, and definition files.
+"""Definition-file reading and writing for operators, tables and entries; JSON and LaTeX writers.
 
 Operator expressions use a small grammar shared by every file kind::
 
@@ -347,14 +347,6 @@ def parse_operator_expr(text: str, context: Union[VarContext, None] = None,
     return _ExprParser(text, context=context, definitions=definitions).parse_all()
 
 
-def parse_scalar_expr(text: str, line: int = 1, col: int = 1) -> Scalar:
-    """Parse an expression that must reduce to a bare scalar."""
-    value = _ExprParser(text, line, col).parse_all()
-    if not isinstance(value, Scalar):
-        raise ParseError("expected a scalar expression", line, col)
-    return value
-
-
 def parse_combination(text: str, labels: Sequence[str], line: int = 1, col: int = 1) -> dict[str, Scalar]:
     """Parse a linear combination of basis labels; '0' gives {}."""
     value = _ExprParser(text, line, col, labels=labels).parse_all()
@@ -649,7 +641,12 @@ def parse_definition(text: str) -> CorpusEntry:
                                      number, _indent_col(line))
                 if key.strip() not in split:
                     raise ParseError(f"unknown split bucket {key.strip()!r}", number, _indent_col(line))
-                split[key.strip()].extend(_labels(line, number, len(key) + 1))
+                for match in _WORD_RE.finditer(line, len(key) + 1):
+                    label = _ident(match.group(), number, match.start() + 1)
+                    if label not in weights:
+                        raise ParseError(f"split label {label!r} has no weight line",
+                                         number, match.start() + 1)
+                    split[key.strip()].append(label)
         payload = {"grading_labels": grading_labels, "weights": weights,
                    "weight_order": list(weights), "split": split}
     notes = "\n".join(line.strip() for _, line in named.get("notes", []))
@@ -676,7 +673,7 @@ def _parse_scalar_tuple(text: str, line: int, col: int, arity: int) -> tuple[Sca
     parser.expect_end()
     if not all(isinstance(value, Scalar) for value in values):
         raise ParseError("weight components must be scalars", line, col)
-    if arity and len(values) != arity:
+    if len(values) != arity:
         raise ParseError(
             f"expected {arity} weight components, found {len(values)}", line, col)
     return tuple(values)
@@ -776,16 +773,6 @@ def _scalar_to_json(scalar: Scalar) -> list[dict]:
     return terms
 
 
-def _scalar_from_json(terms) -> Scalar:
-    total = Scalar()
-    for term in terms:
-        re_num, re_den = term["re"]
-        im_num, im_den = term["im"]
-        value = GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
-        total = total + Scalar.lam_power(int(term.get("lam", 0)), value)
-    return total
-
-
 def table_to_dict(table: BracketTable) -> dict:
     basis = [{"label": label, "degree": [degree.a1, degree.a2]} for label, degree in table.basis]
     brackets = []
@@ -797,24 +784,6 @@ def table_to_dict(table: BracketTable) -> dict:
                       for target, coeff in entry],
         })
     return {"basis": basis, "brackets": brackets}
-
-
-def table_from_dict(data: Mapping) -> BracketTable:
-    basis = [(item["label"], Degree(*item["degree"])) for item in data["basis"]]
-    index = {label: k for k, (label, _) in enumerate(basis)}
-    constants = {}
-    for bracket in data["brackets"]:
-        i = index[bracket["left"]]
-        j = index[bracket["right"]]
-        entry = [(index[piece["target"]], _scalar_from_json(piece["coeff"]))
-                 for piece in bracket["value"]]
-        constants[(i, j)] = entry
-    return BracketTable(basis, constants)
-
-
-def table_from_json(text: str) -> BracketTable:
-    import json
-    return table_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,6 @@ class GaussianRational(Frozen):
         a, b, d = self._abd
         return _reduced(-a, -b, d)
 
-    def conjugate(self) -> GaussianRational:
-        a, b, d = self._abd
-        return _reduced(a, -b, d)
-
     # -- predicates ---------------------------------------------------------
     def __bool__(self) -> bool:
         return self._abd != (0, 0, 1)

@@ -59,8 +59,9 @@ def test_criterion_2_g22_reconstruction():
     assert _uses_symbolic_weight(real)
     assert computed == reference
     # the top-degree sector brackets trivially: no (1,1)-(1,1) entries at all
-    assert computed.sector(D11, D11) == []
-    assert reference.sector(D11, D11) == []
+    for table in (computed, reference):
+        assert not [(i, j) for i, j in table.constants
+                    if table.basis[i][1] == table.basis[j][1] == D11]
     assert elapsed < 60.0, f"reconstruction took {elapsed:.1f}s"
 
 
@@ -219,7 +220,7 @@ def test_criterion_8_property_suites():
     expected_sizes = {"g121": (10, 16), "g22": (14, 18), "n1": (8, 10)}
     for algebra, (n01, n10) in expected_sizes.items():
         table = corpus.table(algebra)
-        sub01 = table.restrict_degrees({D00, D01})
-        sub10 = table.restrict_degrees({D00, D10})
+        sub01 = table.restrict([l for l, d in table.basis if d in (D00, D01)])
+        sub10 = table.restrict([l for l, d in table.basis if d in (D00, D10)])
         assert len(sub01.basis) == n01 and len(sub10.basis) == n10
         assert check_jacobi(sub01).ok and check_jacobi(sub10).ok

@@ -17,7 +17,6 @@ from colorlie.algebra import (
     SingularTransform,
     change_basis,
     check_jacobi,
-    compare_tables,
     derived_generators,
     extract_structure_constants,
     triangular_split,
@@ -152,18 +151,6 @@ def test_lam_dependence_survives_singular_sample_points():
     assert info.value.pair == ("a", "b")
 
 
-def test_compare_tables_reports_differences():
-    report = compare_tables(sl2_table(), sl2_table())
-    assert report.ok and report.checked == 6
-    diff = compare_tables(sl2_table(), sl2_table(ef_coeff=3))
-    assert len(diff.entries) == 1
-    entry = diff.entries[0]
-    assert entry.labels == ("E", "F")
-    assert entry.expected == "H" and entry.computed == "3*H"
-    with pytest.raises(BasisMismatch):
-        compare_tables(sl2_table(), mini_table())
-
-
 def test_change_basis_identity_and_scaling():
     table = sl2_table()
     n = len(table.basis)
@@ -222,6 +209,8 @@ def test_verify_realization_empty_report_and_localized_residuals():
     assert not report.ok and len(report.entries) == 1
     assert report.entries[0].labels == ("p", "p")
     assert report.entries[0].expected == "2*pt"
+    with pytest.raises(BasisMismatch):
+        verify_realization(real, sl2_table())
 
 
 def test_restrict_and_closure():
@@ -231,7 +220,7 @@ def test_restrict_and_closure():
     with pytest.raises(ClosureFailure):
         table.restrict(["E", "F"])
     mini = mini_table()
-    even = mini.restrict_degrees({D00})
+    even = mini.restrict([label for label, degree in mini.basis if degree == D00])
     assert even.labels() == ["h", "pt"]
 
 

@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: exit codes, output formats, parallel determinism."""
 
 import json
+from importlib.resources import files
 
 import pytest
 
 from colorlie import corpus
+from colorlie.algebra import extract_structure_constants
 from colorlie.cli import main
-from colorlie.io import parse_definition, table_from_json
+from colorlie.io import parse_definition, table_to_dict
 
 
 def run(capsys, *argv):
@@ -75,6 +77,21 @@ def test_verify_file_pair_ok(capsys, tmp_path):
                          "--table", str(table_path))
     assert code == 0
     assert "2 generators, 3 unordered pairs verified" in out
+
+
+def test_g22_vector_field_closes_with_the_sign_its_notes_name(capsys, tmp_path):
+    # the notes of defs/g22_vecfield.txt: "Replacing the term -thp*D(z) in Fp by
+    # +thp*D(z) makes all 300 brackets close exactly"
+    text = (files("colorlie") / "defs" / "g22_vecfield.txt").read_text(encoding="utf-8")
+    old = "2*i*thp*thm*D(psip) - thp*D(z))"
+    assert text.count(old) == 1
+    fixed = tmp_path / "g22_fixed.txt"
+    fixed.write_text(text.replace(old, "2*i*thp*thm*D(psip) + thp*D(z))"))
+    code, out, err = run(capsys, "verify", "--file", str(fixed), "--table", "g22.table_pm")
+    assert (code, out, err) == (
+        0, f"{fixed} vs g22.table_pm: 24 generators, 300 unordered pairs verified\n", "")
+    real = parse_definition(fixed.read_text()).payload["realization"]
+    assert extract_structure_constants(real) == corpus.table("g22", "pm")
 
 
 def test_verify_reports_discrepancies(capsys, tmp_path):
@@ -179,7 +196,7 @@ def test_extract_matches_reference_table(capsys):
     code, out, err = run(capsys, "extract", "--algebra", "n1",
                          "--realization", "dmodule", "--format", "json")
     assert code == 0
-    assert table_from_json(out) == corpus.table("n1")
+    assert json.loads(out) == table_to_dict(corpus.table("n1"))
 
 
 def test_extract_from_file(capsys, tmp_path):
@@ -243,7 +260,7 @@ def test_a_vanishing_derived_bracket_takes_its_declared_degree(capsys, tmp_path,
 @pytest.mark.parametrize("entries, where, reason", [
     ("  [A, A] = 0\n    [B, A] = lam*A\n", "11:5", "structure constant for (A,B) depends on lam"),
     ("  [A, A] = 0\n  [A, B] = P\n", "11:3",
-     "bracket of A ((0,0)) and B ((0,0)) targets P of degree (1,1)"),
+     "bracket of A and B has degree (0,0) but targets P of degree (1,1)"),
     ("  [A, B] = -A\n  [B, B] = B\n", "11:3", "[[B, B]] is a commutator and must vanish"),
 ], ids=["lam", "target-degree", "commuting-square"])
 def test_table_entry_errors_point_at_the_entry(capsys, tmp_path, entries, where, reason):
@@ -253,6 +270,20 @@ def test_table_entry_errors_point_at_the_entry(capsys, tmp_path, entries, where,
     code, out, err = run(capsys, "jacobi", "--file", str(table_path))
     assert (code, out) == (2, "")
     assert f"{table_path}:{where}: {reason}" in err
+
+
+def test_a_wrong_degree_entry_reads_alike_in_jacobi_and_extract(capsys, tmp_path):
+    # the table [A, B] = P and the d-module whose bracket solves onto P
+    reason = "bracket of A and B has degree (0,0) but targets P of degree (1,1)"
+    table_path = tmp_path / "table.txt"
+    table_path.write_text("algebra demo\nkind table\n\nbasis:\n" + _BASES["DegreeViolation"]
+                          + "\ntable:\n  [A, B] = P\n")
+    code, out, err = run(capsys, "jacobi", "--file", str(table_path))
+    assert (code, out, err) == (2, "", f"error: {table_path}:10:3: {reason}\n")
+    real_path = tmp_path / "real.txt"
+    real_path.write_text(_dmodule("  A = t*dx\n  B = dt\n  P = dx\n", _BASES["DegreeViolation"]))
+    code, out, err = run(capsys, "extract", "--file", str(real_path))
+    assert (code, out, err) == (1, f"{real_path}: extraction failed\n  {reason}\n", "")
 
 
 def test_an_id_outside_the_identifier_rule_is_a_parse_error(capsys, tmp_path):
@@ -346,7 +377,7 @@ def test_export_table_formats(capsys):
     code, out, err = run(capsys, "export", "--entry", "n1.table",
                          "--format", "json")
     assert code == 0
-    assert table_from_json(out) == corpus.table("n1")
+    assert json.loads(out) == table_to_dict(corpus.table("n1"))
     code, out, err = run(capsys, "export", "--entry", "n1.table",
                          "--format", "latex")
     assert code == 0

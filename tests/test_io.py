@@ -1,5 +1,6 @@
 """Grammar, error reporting, and round-trip behavior of the io module."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,7 @@ from colorlie.grading import Degree
 from colorlie.grassmann import VarContext
 from colorlie.io import (_MAX_NESTING, CorpusEntry, ParseError, emit_definition, emit_report,
                          emit_table, parse_combination, parse_definition,
-                         parse_operator_expr, parse_scalar_expr, table_from_json,
-                         table_to_dict, tokenize)
+                         parse_operator_expr, table_to_dict, tokenize)
 from colorlie.matop import MatDiffOp
 from colorlie.scalars import GaussianRational, Scalar
 from colorlie.vecfield import GradedDiffOp, partial
@@ -22,12 +22,12 @@ CTX = VarContext([("x1", Degree(0, 0)), ("psi", Degree(0, 1)),
 
 
 def test_scalar_expressions():
-    assert parse_scalar_expr("3/4") == Scalar.constant(Fraction(3, 4))
-    assert parse_scalar_expr("-i") == Scalar.constant(GaussianRational(0, -1))
-    assert parse_scalar_expr("2*lam + 1") == (
+    assert parse_operator_expr("3/4") == Scalar.constant(Fraction(3, 4))
+    assert parse_operator_expr("-i") == Scalar.constant(GaussianRational(0, -1))
+    assert parse_operator_expr("2*lam + 1") == (
         Scalar.lam_power(1, 2) + Scalar.constant(1))
-    assert parse_scalar_expr("(1+i)*(1-i)") == Scalar.constant(2)
-    assert parse_scalar_expr("lam^2") == Scalar.lam_power(2)
+    assert parse_operator_expr("(1+i)*(1-i)") == Scalar.constant(2)
+    assert parse_operator_expr("lam^2") == Scalar.lam_power(2)
 
 
 def test_matrix_operator_expression():
@@ -258,7 +258,7 @@ def test_table_json_round_trip():
     from colorlie import corpus
     table = corpus.table("n1")
     text = emit_table(table, "json")
-    assert table_from_json(text) == table
+    assert json.loads(text) == table_to_dict(table)
     data = table_to_dict(table)
     assert data["basis"][0] == {"label": "H", "degree": [0, 0]}
 
@@ -341,6 +341,18 @@ def test_weights_labels_and_ids_follow_the_identifier_rule(old, new, line, col, 
         parse_definition(WEIGHTS.replace(old, new, 1))
     assert (info.value.line, info.value.col) == (line, col)
     assert info.value.reason.startswith(f"{word!r} is not")
+
+
+@pytest.mark.parametrize("old, new, line, col, reason", [
+    ("  D Rbar", "", 8, 7, "expected 0 weight components, found 2"),
+    ("  D = (0, 0)", "  D = (0)", 9, 7, "expected 2 weight components, found 1"),
+    ("  zero: D", "  zero: D Zed", 13, 11, "split label 'Zed' has no weight line"),
+], ids=["no-grading-operators", "short-tuple", "split-label-without-weight"])
+def test_weights_need_one_component_per_grading_operator_and_split_labels_with_weights(
+        old, new, line, col, reason):
+    with pytest.raises(ParseError) as info:
+        parse_definition(WEIGHTS.replace(old, new, 1))
+    assert (info.value.reason, info.value.line, info.value.col) == (reason, line, col)
 
 
 def test_dotted_ids_parse_and_round_trip():
