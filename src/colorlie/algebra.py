@@ -15,6 +15,7 @@ the table and reports residuals instead of ever auto-correcting them.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement, permutations
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .grading import Degree, koszul_sign
@@ -306,35 +307,59 @@ def change_basis(table: BracketTable, new_basis: Sequence[BasisItem],
     return BracketTable(new_basis, constants)
 
 
+def _jacobi_sum(values, degrees, i: int, j: int, k: int) -> dict[int, GaussianRational]:
+    """The Jacobi sum of the basis triple (i, j, k) over constant values."""
+    a, b, c = degrees[i], degrees[j], degrees[k]
+    acc: dict[int, GaussianRational] = {}
+    for outer, y, z, sign in ((i, j, k, koszul_sign(a, c)), (j, k, i, koszul_sign(b, a)),
+                              (k, i, j, koszul_sign(c, b))):
+        for mid, coeff in values.get((y, z), ()):
+            if sign < 0:
+                coeff = -coeff
+            for target, coeff2 in values.get((outer, mid), ()):
+                add_into(acc, target, coeff * coeff2)
+    return acc
+
+
 def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, int]], None] = None) -> DiscrepancyReport:
     """Graded Jacobi identity over ordered basis triples.
 
     For degrees a, b, c of x, y, z the identity is
     (-1)^<a,c> [[x,[[y,z]]]] + (-1)^<b,a> [[y,[[z,x]]]] + (-1)^<c,b> [[z,[[x,y]]]] = 0.
+
+    The sum J is formed once per sorted triple i <= j <= k.  Graded
+    antisymmetry of the table makes J unchanged by a cyclic shift, and
+    swapping two arguments multiplies it by -(-1)^(<a,b>+<b,c>+<c,a>); so
+    a nonzero J is expanded into its distinct ordered permutations, each
+    with its own residual, listed in lexicographic order.  ``checked``
+    still counts ordered triples: n^3, or len(triples) for a given subset.
     """
-    n = len(table.basis)
+    degrees = [d for _, d in table.basis]
+    n = len(degrees)
+    values = {pair: tuple((t, c.constant_value()) for t, c in entry)
+              for pair, entry in table._signed.items()}
     if triples is None:
-        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+        checked = n ** 3
+        sorted_triples = combinations_with_replacement(range(n), 3)
+    else:
+        checked = len(triples)
+        sorted_triples = {tuple(sorted(t)) for t in triples}
+    sums = {t: acc for t in sorted_triples if (acc := _jacobi_sum(values, degrees, *t))}
+    if triples is None:
+        triples = sorted({p for t in sums for p in permutations(t)})
     entries = []
     for i, j, k in triples:
-        a = table.basis[i][1]
-        b = table.basis[j][1]
-        c = table.basis[k][1]
-        acc: dict[int, Scalar] = {}
-
-        def accumulate(outer: int, inner_pair: tuple[int, int], sign: int):
-            for mid, coeff in table.bracket(*inner_pair):
-                for target, coeff2 in table.bracket(outer, mid):
-                    add_into(acc, target, coeff * coeff2 * sign)
-
-        accumulate(i, (j, k), koszul_sign(a, c))
-        accumulate(j, (k, i), koszul_sign(b, a))
-        accumulate(k, (i, j), koszul_sign(c, b))
-        if acc:
-            residual = table.combo_str(sorted(acc.items()))
-            labels = (table.basis[i][0], table.basis[j][0], table.basis[k][0])
-            entries.append(Discrepancy("jacobi", labels, "0", residual, residual))
-    return DiscrepancyReport("graded Jacobi", len(triples), tuple(entries))
+        key = tuple(sorted((i, j, k)))
+        acc = sums.get(key)
+        if acc is None:
+            continue
+        a, b, c = degrees[i], degrees[j], degrees[k]
+        odd = (i, j, k) not in (key, key[1:] + key[:1], key[2:] + key[:2])
+        sign = -1 if odd and koszul_sign(a, b) * koszul_sign(b, c) * koszul_sign(c, a) == 1 else 1
+        residual = table.combo_str(sorted((t, Scalar.constant(v * sign)) for t, v in acc.items()))
+        labels = (table.basis[i][0], table.basis[j][0], table.basis[k][0])
+        entries.append(Discrepancy("jacobi", labels, "0", residual, residual))
+    return DiscrepancyReport("graded Jacobi", checked, tuple(entries))
 
 
 def _diagnose_failure(pair, columns, target, base_solver_residual):

@@ -172,7 +172,7 @@ def _cmd_extract(args) -> int:
     if args.file:
         real = _entry_realization(_load_definition_file(args.file), args.file)
     elif args.algebra and args.realization:
-        real, _ = corpus.realization(args.algebra, args.realization)
+        real = corpus.load(f"{args.algebra}.{args.realization}").payload["realization"]
     else:
         raise CliError("extract needs --algebra and --realization, or --file")
     try:

@@ -408,10 +408,11 @@ def _split_sections(text: str):
     return head, sections
 
 
-def _labels(line: str, number: int, start: int = 0) -> list[str]:
-    """The whitespace-separated words of line[start:], each an IDENT."""
-    return [_ident(match.group(), number, match.start() + 1)
-            for match in _WORD_RE.finditer(line, start)]
+def _labels(line: str, number: int, start: int = 0):
+    """The whitespace-separated words of line[start:], each an IDENT, with their columns."""
+    for match in _WORD_RE.finditer(line, start):
+        col = match.start() + 1
+        yield _ident(match.group(), number, col), col
 
 
 def _ident(word: str, number: int, col: int, rule: re.Pattern = _IDENT_RE,
@@ -623,14 +624,19 @@ def parse_definition(text: str) -> CorpusEntry:
     else:  # weights
         grading_labels: list[str] = []
         for number, line in _require(named, "grading-operators", kind):
-            grading_labels.extend(_labels(line, number))
+            for label, col in _labels(line, number):
+                if label in grading_labels:
+                    raise ParseError(f"duplicate grading operator {label!r}", number, col)
+                grading_labels.append(label)
         weights: dict[str, tuple[Scalar, ...]] = {}
+        weight_at: dict[str, tuple[int, int]] = {}
         for number, line in _require(named, "weights", kind):
             label, label_col, rhs, rhs_col = _split_equals(line, number)
             _ident(label, number, label_col)
             if label in weights:
                 raise ParseError(f"duplicate weight line for {label!r}", number, label_col)
             weights[label] = _parse_scalar_tuple(rhs, number, rhs_col, len(grading_labels))
+            weight_at[label] = (number, label_col)
         split: Union[dict[str, list[str]], None] = None
         if "split" in named:
             split = {key: [] for key in _SPLIT_KEYS}
@@ -641,12 +647,15 @@ def parse_definition(text: str) -> CorpusEntry:
                                      number, _indent_col(line))
                 if key.strip() not in split:
                     raise ParseError(f"unknown split bucket {key.strip()!r}", number, _indent_col(line))
-                for match in _WORD_RE.finditer(line, len(key) + 1):
-                    label = _ident(match.group(), number, match.start() + 1)
+                for label, col in _labels(line, number, len(key) + 1):
                     if label not in weights:
-                        raise ParseError(f"split label {label!r} has no weight line",
-                                         number, match.start() + 1)
+                        raise ParseError(f"split label {label!r} has no weight line", number, col)
+                    if weight_at.pop(label, None) is None:
+                        raise ParseError(f"split label {label!r} is listed twice", number, col)
                     split[key.strip()].append(label)
+            if weight_at:
+                label = next(iter(weight_at))
+                raise ParseError(f"weight label {label!r} is in no split bucket", *weight_at[label])
         payload = {"grading_labels": grading_labels, "weights": weights,
                    "weight_order": list(weights), "split": split}
     notes = "\n".join(line.strip() for _, line in named.get("notes", []))

@@ -1,8 +1,11 @@
 """Tables, extraction, Jacobi audits, basis changes, weights, verification."""
 
-import pytest
+import itertools
 
-from colorlie.grading import D00, D01, D10, D11
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from colorlie.grading import D00, D01, D10, D11, koszul_sign
 from colorlie.scalars import I, LAM, GaussianRational, Scalar, rational
 from colorlie import corpus, weyl
 from colorlie.algebra import (
@@ -85,6 +88,88 @@ def test_check_jacobi_passes_and_catches_mutations():
     # the failing triples name H, E, F together
     labels = {frozenset(d.labels) for d in bad.entries}
     assert frozenset({"H", "E", "F"}) in labels
+
+
+# -- Scheunert's twist: an independent oracle for graded Jacobi ---------------
+#
+# With sigma(a,b) = (-1)^(a1*b2), the twisted bracket [x,y]' = sigma(a,b)[x,y]
+# of a color table is an ordinary super bracket, graded by the total parity
+# |a| = a1 + a2: sigma(a,b)*sigma(b,a)*(-1)^<a,b> = (-1)^(|a||b|).  Its super
+# Jacobi sum J' of (x, y, z) and the color Jacobi sum J obey
+# J = sigma(a,b)*sigma(b,c)*sigma(c,a) * J' (Scheunert, J. Math. Phys. 20, 712).
+
+def _sigma(a, b) -> int:
+    return -1 if a.a1 * b.a2 else 1
+
+
+def _super_sign(a, b) -> int:
+    return -1 if (a.a1 + a.a2) * (b.a1 + b.a2) % 2 else 1
+
+
+def twisted_super_jacobi_failures(table) -> dict:
+    """{(i, j, k): {target: value}} of every ordered triple whose super Jacobi
+    sum for the twisted bracket is nonzero.  The twisted bracket of a stored
+    pair i <= j is sigma times the constant; (j, i) follows by super
+    antisymmetry, [y,x]' = -(-1)^(|a||b|) [x,y]'."""
+    degrees = [d for _, d in table.basis]
+    twisted = {}
+    for (i, j), entry in table.constants.items():
+        a, b = degrees[i], degrees[j]
+        twisted[(i, j)] = {t: c.constant_value() * _sigma(a, b) for t, c in entry}
+        twisted[(j, i)] = {t: -_super_sign(a, b) * v for t, v in twisted[(i, j)].items()}
+    failures = {}
+    for i, j, k in itertools.product(range(len(degrees)), repeat=3):
+        a, b, c = degrees[i], degrees[j], degrees[k]
+        acc = {}
+        for x, (y, z), sign in ((i, (j, k), _super_sign(a, c)), (j, (k, i), _super_sign(b, a)),
+                                (k, (i, j), _super_sign(c, b))):
+            for mid, v in twisted.get((y, z), {}).items():
+                for t, w in twisted.get((x, mid), {}).items():
+                    acc[t] = acc.get(t, 0) + sign * v * w
+        acc = {t: v for t, v in acc.items() if v}
+        if acc:
+            failures[(i, j, k)] = acc
+    return failures
+
+
+JACOBI_FACTORS = [GaussianRational(*v) for v in ((0, 0), (-1, 0), (2, 0), (0, 1), (1, 1), (-3, 0))]
+
+
+@st.composite
+def perturbed_n1_tables(draw):
+    """The n1 table with up to three constants scaled and up to two entries added."""
+    table = corpus.table("n1")
+    basis, n = table.basis, len(table.basis)
+    constants = {key: dict(entry) for key, entry in table.constants.items()}
+    factors = st.sampled_from(JACOBI_FACTORS)
+    for key in draw(st.lists(st.sampled_from(sorted(constants)), max_size=3, unique=True)):
+        target = draw(st.sampled_from(sorted(constants[key])))
+        constants[key][target] = constants[key][target] * Scalar.constant(draw(factors))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)
+             if i < j or koszul_sign(basis[i][1], basis[i][1]) == -1]
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)):
+        targets = [t for t in range(n) if basis[t][1] == basis[i][1] + basis[j][1]]
+        target = draw(st.sampled_from(targets))
+        entry = constants.setdefault((i, j), {})
+        entry[target] = entry.get(target, Scalar()) + Scalar.constant(draw(factors))
+    return BracketTable(basis, {key: list(entry.items()) for key, entry in constants.items()})
+
+
+@settings(max_examples=30, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.explain])
+@given(perturbed_n1_tables())
+def test_jacobi_failures_are_the_failures_of_the_scheunert_twist(table):
+    report = check_jacobi(table)
+    degrees = [d for _, d in table.basis]
+    expected = []
+    for (i, j, k), acc in sorted(twisted_super_jacobi_failures(table).items()):
+        a, b, c = degrees[i], degrees[j], degrees[k]
+        factor = _sigma(a, b) * _sigma(b, c) * _sigma(c, a)
+        residual = table.combo_str(sorted((t, Scalar.constant(v * factor)) for t, v in acc.items()))
+        labels = tuple(table.basis[m][0] for m in (i, j, k))
+        expected.append((labels, residual))
+    assert report.checked == len(table) ** 3
+    assert [(d.labels, d.residual) for d in report.entries] == expected
 
 
 def test_extract_structure_constants_roundtrip():

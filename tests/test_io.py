@@ -347,7 +347,13 @@ def test_weights_labels_and_ids_follow_the_identifier_rule(old, new, line, col, 
     ("  D Rbar", "", 8, 7, "expected 0 weight components, found 2"),
     ("  D = (0, 0)", "  D = (0)", 9, 7, "expected 2 weight components, found 1"),
     ("  zero: D", "  zero: D Zed", 13, 11, "split label 'Zed' has no weight line"),
-], ids=["no-grading-operators", "short-tuple", "split-label-without-weight"])
+    ("  zero: D", "  zero: D H", 13, 11, "split label 'H' is listed twice"),
+    ("  zero: D", "  zero: D D", 13, 11, "split label 'D' is listed twice"),
+    ("  zero: D", "  zero:", 9, 3, "weight label 'D' is in no split bucket"),
+    ("  D Rbar", "  D Rbar D", 5, 10, "duplicate grading operator 'D'"),
+], ids=["no-grading-operators", "short-tuple", "split-label-without-weight",
+        "split-label-in-two-buckets", "split-label-twice-in-one-bucket",
+        "weight-label-in-no-bucket", "grading-operator-twice"])
 def test_weights_need_one_component_per_grading_operator_and_split_labels_with_weights(
         old, new, line, col, reason):
     with pytest.raises(ParseError) as info:
