@@ -2,13 +2,14 @@
 
 Weyl and matrix operators, graded polynomials and vector fields, table
 entries, residuals and lam-polynomials are all finite sums held as a dict
-{key: nonzero coefficient}.  This module owns what they have in common:
+{key: nonzero coefficient}, a Scalar (a Gaussian rational in matrix operators,
+whose keys end in the lam exponent).  This module owns what they share:
 
 * ``add_into`` -- the one accumulate-and-drop-zero step;
 * ``Frozen`` -- immutable slotted values that pickle slot by slot;
 * ``LinComb`` -- the linear structure of a ``terms`` dict;
 * ``term_text`` and ``signed_sum`` -- the one term printer;
-* ``graded_bracket`` -- the one Koszul sign rule.
+* ``graded_bracket`` -- the one Koszul sign rule, filling one accumulator.
 
 Construction rule: public constructors (``DiffOp(...)``, ``GradedDiffOp(...)``,
 ...) validate outside input; internal results, computed from valid values,
@@ -82,7 +83,7 @@ class Frozen:
 
 
 class LinComb(Frozen):
-    """A sparse sum: the slot ``terms``, declared last, maps keys to nonzero Scalars.
+    """A sparse sum: the slot ``terms``, declared last, maps keys to nonzero coefficients.
 
     Subclasses may define ``_check(other)``, which raises ValueError when
     ``other`` cannot be added to ``self``.
@@ -155,8 +156,10 @@ def signed_sum(parts: Iterable[str]) -> str:
     return out.removeprefix("+") or "0"
 
 
-def graded_bracket(a, b, compose: Callable):
-    """[[a, b]] = a.b - (-1)^<deg a, deg b> b.a, of degree deg a + deg b."""
-    first = compose(a, b)
-    second = compose(b, a)
-    return first - second if koszul_sign(a.degree, b.degree) == 1 else first + second
+def graded_bracket(a, b, product_into: Callable) -> dict:
+    """The terms of [[a, b]] = a.b - (-1)^<deg a, deg b> b.a, of degree deg a + deg b:
+    ``product_into(terms, x, y, sign)`` adds sign * x.y into the one dict."""
+    terms: dict = {}
+    product_into(terms, a, b, 1)
+    product_into(terms, b, a, -koszul_sign(a.degree, b.degree))
+    return terms

@@ -1,21 +1,23 @@
 """4x4 matrices of Weyl-algebra operators with a declared Z2xZ2 degree.
 
-An operator is one sparse ``LinComb`` keyed by (row, col, WeylMonomial),
-0-indexed; the per-cell DiffOps (``nonzero_entries``, ``entries``) are
-derived on demand for printing and ``apply``.  The degree is metadata,
-not something inferred from the block structure: the presentations
-assign it, and the graded bracket trusts it.  Addition requires equal
-degrees (a sum of different degrees would not be homogeneous); the zero
-operator is degree-polymorphic so residuals can be formed in any sector.
+An operator is one sparse ``LinComb`` over GaussianRationals keyed by
+(row, col, WeylMonomial, lam exponent), 0-indexed: lam is central, so it is
+one more exponent, and the terms are the solver's coordinates.  The public
+constructor flattens {(row, col, monomial): Scalar}; ``nonzero_entries`` and
+``entries`` regroup the cells as DiffOps for printing and ``apply``.  The
+degree is metadata that the presentations assign and the graded bracket
+trusts.  Addition requires equal degrees (a sum of different degrees would
+not be homogeneous); the zero operator is degree-polymorphic so residuals
+can be formed in any sector.
 
-The product of terms (i, j, lm) and (j, k, rm) is the uncontracted term
-(i, k, lm + rm) plus the contractions of lm's derivatives with rm's
-variables.  In a bracket of sign +1, a.b - b.a, ``compose`` skips, pair
-by pair, an uncontracted term that the reversed product cancels: a left
-term c (i, i, lm) times a right term (i, k, rm) is matched in b.a by
-(i, k, rm) times (k, k, lm) when the left operand also has c at
-(k, k, lm); a right term c (k, k, rm) likewise, when the right operand
-also has c at (i, i, rm).
+The product of terms (i, j, lm, e) and (j, k, rm, f) is the uncontracted
+term (i, k, lm + rm, e + f) plus the contractions of lm's derivatives with
+rm's variables.  In a bracket of sign +1, a.b - b.a, ``_product_into``
+skips, pair by pair, an uncontracted term that the reversed product
+cancels: a left term c (i, i, lm, e) times a right term (i, k, rm, f) is
+matched in b.a by (i, k, rm, f) times (k, k, lm, e) when the left operand
+also has c at (k, k, lm, e); a right term c (k, k, rm, f) likewise, when
+the right operand also has c at (i, i, rm, f).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ MatKey = tuple[int, int, WeylMonomial]
 
 
 class MatDiffOp(LinComb):
-    """A declared degree and terms {(row, col, monomial): nonzero Scalar}."""
+    """A declared degree and terms {(row, col, monomial, lam exponent): nonzero GaussianRational}."""
 
     __slots__ = ("degree", "terms")
 
@@ -44,9 +46,8 @@ class MatDiffOp(LinComb):
             mono = WeylMonomial(*mono)
             if min(mono) < 0:
                 raise ValueError(f"negative exponent in {mono}")
-            coeff = as_scalar(coeff)
-            if coeff:
-                clean[(row, col, mono)] = coeff
+            for exp, value in as_scalar(coeff).items():  # a Scalar holds no zero
+                clean[(row, col, mono, exp)] = value
         setslot(self, "degree", degree)
         setslot(self, "terms", clean)
 
@@ -57,29 +58,33 @@ class MatDiffOp(LinComb):
     def with_degree(self, degree: Degree) -> MatDiffOp:
         return MatDiffOp._of(degree, self.terms)
 
-    # -- linear structure (sums, negation and scaling are LinComb's) ----------
+    # -- linear structure (sums and negation are LinComb's) --------------------
     def _check(self, other: MatDiffOp) -> None:
         if self.terms and other.terms and self.degree != other.degree:
-            raise ValueError(
-                f"cannot add operators of degrees {self.degree} and {other.degree}"
-            )
+            raise ValueError(f"cannot add operators of degrees {self.degree} and {other.degree}")
+
+    def scale(self, factor) -> MatDiffOp:
+        """factor * self; a lam-dependent factor shifts the lam exponents."""
+        terms: dict = {}
+        for fexp, fvalue in as_scalar(factor).items():
+            for (row, col, mono, exp), value in self.terms.items():
+                add_into(terms, (row, col, mono, exp + fexp), value * fvalue)
+        return MatDiffOp._of(self.degree, terms)
 
     def __mul__(self, other) -> MatDiffOp:
-        if isinstance(other, MatDiffOp):
-            return compose(self, other)
-        return self.scale(other)
+        return compose(self, other) if isinstance(other, MatDiffOp) else self.scale(other)
 
     def bracket(self, other: MatDiffOp) -> MatDiffOp:
         return graded_bracket(self, other)
 
     # -- queries ---------------------------------------------------------------
     def nonzero_entries(self):
-        """(row, col, DiffOp) for each nonzero cell, row-major."""
+        """(row, col, DiffOp) for each nonzero cell, row-major, with Scalar coefficients."""
         cells: dict[tuple[int, int], dict] = {}
-        for row, col, mono in sorted(self.terms):
-            cells.setdefault((row, col), {})[mono] = self.terms[(row, col, mono)]
-        for (row, col), terms in cells.items():
-            yield row, col, DiffOp._of(terms)
+        for (row, col, mono, exp), value in sorted(self.terms.items()):
+            cells.setdefault((row, col), {}).setdefault(mono, {})[exp] = value
+        for (row, col), monos in cells.items():
+            yield row, col, DiffOp._of({mono: Scalar._of(lams) for mono, lams in monos.items()})
 
     @property
     def entries(self) -> tuple[tuple[DiffOp, ...], ...]:
@@ -90,9 +95,8 @@ class MatDiffOp(LinComb):
         return tuple(map(tuple, grid))
 
     def coordinate_vector(self) -> dict:
-        """Exact coordinates: (row, col, weyl monomial, lam exponent) -> GaussianRational."""
-        return {(*key, exp): value for key, coeff in self.terms.items()
-                for exp, value in coeff.items()}
+        """The terms, (row, col, weyl monomial, lam exponent) -> GaussianRational: read only."""
+        return self.terms
 
     def __repr__(self) -> str:
         return f"MatDiffOp(degree={self.degree}, terms={str(self)!r})"
@@ -117,31 +121,37 @@ def scalar_op(d: DiffOp) -> MatDiffOp:
 IDENTITY = scalar_op(weyl.ONE)
 
 
-def compose(left: MatDiffOp, right: MatDiffOp, commuting: bool = False) -> MatDiffOp:
-    """Matrix product: each left (i, j) term meets each right (j, k) term.  With
-    ``commuting`` (a bracket of sign +1) a pair skips an uncontracted product
-    that right.left cancels (module notes)."""
+def _product_into(terms: dict, left: MatDiffOp, right: MatDiffOp, sign: int,
+                  commuting: bool = False) -> dict:
+    """terms += sign * left.right, each left (i, j) term times each right (j, k) one;
+    ``commuting`` (a bracket of sign +1) skips what right.left cancels (module notes)."""
     right_rows: dict[int, list] = {}
-    for (j, k, rm), rc in right.terms.items():
-        right_rows.setdefault(j, []).append((k, rm, rc))
-    terms: dict[MatKey, Scalar] = {}
-    for (i, j, lm), lc in left.terms.items():
-        for k, rm, rc in right_rows.get(j, ()):
+    for (j, k, rm, rexp), rc in right.terms.items():
+        right_rows.setdefault(j, []).append((k, rm, rexp, rc))
+    for (i, j, lm, lexp), lc in left.terms.items():
+        for k, rm, rexp, rc in right_rows.get(j, ()):
             # the uncontracted term comes first
-            skip = commuting and (i == j and left.terms.get((k, k, lm)) == lc
-                                  or j == k and right.terms.get((i, i, rm)) == rc)
+            skip = commuting and (i == j and left.terms.get((k, k, lm, lexp)) == lc
+                                  or j == k and right.terms.get((i, i, rm, rexp)) == rc)
             product = weyl.mono_product(lm, rm)[skip:]
             if product:
-                coeff = lc * rc
+                coeff = lc * rc if sign == 1 else -(lc * rc)
+                exp = lexp + rexp
                 for factor, mono in product:
-                    add_into(terms, (i, k, mono), coeff * factor)
-    return MatDiffOp._of(left.degree + right.degree, terms)
+                    add_into(terms, (i, k, mono, exp), coeff if factor == 1 else coeff * factor)
+    return terms
+
+
+def compose(left: MatDiffOp, right: MatDiffOp) -> MatDiffOp:
+    """The matrix product left.right."""
+    return MatDiffOp._of(left.degree + right.degree, _product_into({}, left, right, 1))
 
 
 def graded_bracket(a: MatDiffOp, b: MatDiffOp) -> MatDiffOp:
     """[[a, b]] by ``lincomb.graded_bracket``, less cancelling products (module notes)."""
-    plus = koszul_sign(a.degree, b.degree) == 1
-    return lincomb.graded_bracket(a, b, lambda x, y: compose(x, y, plus))
+    commuting = koszul_sign(a.degree, b.degree) == 1
+    return MatDiffOp._of(a.degree + b.degree, lincomb.graded_bracket(
+        a, b, lambda out, x, y, sign: _product_into(out, x, y, sign, commuting)))
 
 
 def apply(op: MatDiffOp, column: Sequence[DiffOp]) -> list[DiffOp]:

@@ -71,7 +71,11 @@ class GaussianRational(Frozen):
     __radd__ = __add__
 
     def __sub__(self, other) -> GaussianRational:
-        return self + -_as_gauss(other)
+        a, b, d = self._abd
+        c, e, f = _as_gauss(other)._abd
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other) -> GaussianRational:
         return _as_gauss(other) - self
@@ -104,10 +108,10 @@ class GaussianRational(Frozen):
         return self._abd != (0, 0, 1)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _as_gauss(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
         return self._abd == other._abd
 
     def __hash__(self):

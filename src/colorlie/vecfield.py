@@ -26,7 +26,7 @@ from typing import Mapping, Tuple, Union
 from .grading import D00, Degree, koszul_sign
 from . import lincomb
 from .lincomb import LinComb, add_into, setslot, signed_sum, term_text
-from .scalars import GaussianRational, Scalar, as_scalar
+from .scalars import Scalar, as_scalar
 from .grassmann import (
     GradedPoly,
     GradedVariable,
@@ -103,11 +103,8 @@ class GradedDiffOp(LinComb):
 
     def coordinate_vector(self) -> dict:
         """Exact coordinates: (monomial, partial word, lam exponent) -> GaussianRational."""
-        coords: dict[tuple, GaussianRational] = {}
-        for (mono, parts), coeff in self.terms.items():
-            for exp, value in coeff.items():
-                coords[(mono, parts, exp)] = value
-        return coords
+        return {(mono, parts, exp): value for (mono, parts), coeff in self.terms.items()
+                for exp, value in coeff.items()}
 
     def __repr__(self) -> str:
         return f"GradedDiffOp(degree={self.degree}, terms={str(self)!r})"
@@ -164,30 +161,36 @@ def _leibniz(ctx: VarContext, parts: Monomial, mono: Monomial):
     return expansion
 
 
-def compose(left: GradedDiffOp, right: GradedDiffOp, contractions_only: bool = False) -> GradedDiffOp:
-    """Normal ordering of left . right; ``contractions_only`` for brackets (module notes)."""
+def _product_into(result: dict, left: GradedDiffOp, right: GradedDiffOp, sign: int,
+                  contractions_only: bool = False) -> dict:
+    """result += sign * left.right normally ordered; ``contractions_only`` for brackets."""
     left._check_ctx(right)
     ctx = left.ctx
-    result: dict[OpTerm, Scalar] = {}
     for (lmono, lparts), lcoeff in left.terms.items():
         for (rmono, rparts), rcoeff in right.terms.items():
             coeff = None
             for factor, mono, parts in _leibniz(ctx, lparts, rmono):
                 if contractions_only and mono == rmono:
                     continue
-                sign, merged = mono_mul(ctx, lmono, mono)
+                merge_sign, merged = mono_mul(ctx, lmono, mono)
                 parts_sign, parts = mono_mul(ctx, parts, rparts)
                 if merged is None or parts is None:
                     continue
                 if coeff is None:
                     coeff = lcoeff * rcoeff
-                add_into(result, (merged, parts), coeff * (factor * sign * parts_sign))
-    return GradedDiffOp._of(ctx, left.degree + right.degree, result)
+                add_into(result, (merged, parts), coeff * (factor * sign * merge_sign * parts_sign))
+    return result
+
+
+def compose(left: GradedDiffOp, right: GradedDiffOp) -> GradedDiffOp:
+    """Normal ordering of left . right."""
+    return GradedDiffOp._of(left.ctx, left.degree + right.degree, _product_into({}, left, right, 1))
 
 
 def graded_bracket(a: GradedDiffOp, b: GradedDiffOp) -> GradedDiffOp:
     """[[a, b]] of graded operators, by ``lincomb.graded_bracket`` over contractions only."""
-    return lincomb.graded_bracket(a, b, lambda x, y: compose(x, y, contractions_only=True))
+    return GradedDiffOp._of(a.ctx, a.degree + b.degree, lincomb.graded_bracket(
+        a, b, lambda out, x, y, sign: _product_into(out, x, y, sign, contractions_only=True)))
 
 
 def apply(op: GradedDiffOp, poly: GradedPoly) -> GradedPoly:

@@ -7,9 +7,9 @@ a product of two monomials with the exchange rule
 
     dt^m . t^n = sum_k C(m,k) * n!/(n-k)! * t^(n-k) * dt^(m-k)
 
-once per pair, into the table that ``compose`` here and ``matop.compose``
+once per pair, into the table that ``compose`` here and ``matop``'s products
 read.  Its first term is the uncontracted k = 0 one, which ``matop`` brackets
-skip when the coefficient matrices of the two symbols commute.
+skip when the coefficients of the two symbols commute as matrices.
 ``apply`` differentiates a polynomial directly; compose and apply must
 agree on every polynomial, which the tests use as a cross-check.
 """

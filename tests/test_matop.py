@@ -93,9 +93,11 @@ def test_constructor_rejects_bad_positions_and_exponents():
             MatDiffOp({(row, col, unit): 1})
     with pytest.raises(ValueError, match="negative exponent"):
         MatDiffOp({(0, 1, (0, -1, 0, 0)): 1})
-    # zero coefficients are dropped; the stored key is a WeylMonomial
+    # zero coefficients are dropped; the stored monomial is a WeylMonomial
     op = MatDiffOp({(1, 2, (1, 0, 0, 2)): 3, (0, 0, unit): 0})
-    assert list(op.terms) == [(1, 2, WeylMonomial(1, 0, 0, 2))]
+    [(row, col, cell)] = op.nonzero_entries()
+    assert (row, col, list(cell.terms)) == (1, 2, [WeylMonomial(1, 0, 0, 2)])
+    assert type(next(iter(cell.terms))) is WeylMonomial
 
 
 def test_entries_is_the_dense_view_of_the_sparse_terms():
@@ -110,8 +112,10 @@ def test_entries_is_the_dense_view_of_the_sparse_terms():
 
 exps = st.integers(min_value=0, max_value=2)
 positions = st.integers(min_value=0, max_value=3)
-coeffs = st.builds(lambda re, im, exp: Scalar.lam_power(exp, GaussianRational(re, im)),
-                   st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1))
+#: lam-polynomials of one or two terms, which the operator splits over two keys
+coeffs = st.dictionaries(st.integers(0, 2), st.builds(GaussianRational, st.integers(-3, 3),
+                                                      st.integers(-3, 3)),
+                         min_size=1, max_size=2).map(Scalar)
 degrees = st.sampled_from([D00, D01, D10, D11])
 mat_ops = st.builds(
     MatDiffOp,
@@ -137,6 +141,12 @@ def test_compose_matches_the_dense_cell_product(a, b):
             for j in range(4):
                 cell = cell + weyl.compose(left[i][j], right[j][k])
             assert product[i][k] == cell
+
+
+@given(mat_ops, coeffs)
+def test_scale_scales_every_cell(a, factor):
+    assert a.scale(factor).entries == tuple(tuple(cell.scale(factor) for cell in row)
+                                            for row in a.entries)
 
 
 @given(mat_ops, mat_ops)
