@@ -93,7 +93,11 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
         elif kind == "bad":
             raise ParseError(f"unexpected character {value!r}", line, at)
         elif kind not in ("blank", "comment"):
-            tokens.append(Token(kind, int(value) if kind == "int" else value, line, at))
+            try:
+                value = int(value) if kind == "int" else value
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise ParseError(f"{len(value)}-digit integer is too long", line, at) from None
+            tokens.append(Token(kind, value, line, at))
     # a comment takes no columns, so the end of a commented line sits at its '#'
     stop = match.start() if match and match.lastgroup == "comment" else len(text)
     tokens.append(Token("end", "", line, stop - offset))
@@ -804,10 +808,12 @@ _GREEK = {"Pi": r"\Pi", "Lam": r"\Lambda", "lam": r"\lambda",
 
 def label_to_latex(label: str) -> str:
     """Render a basis label: P~ -> \\tilde{P}, Qp -> Q_{+}, Rbar -> \\bar{R}."""
-    if label.endswith("~"):
-        return r"\tilde{" + label_to_latex(label[:-1]) + "}"
-    if label.endswith("bar") and len(label) > 3:
-        return r"\bar{" + label_to_latex(label[:-3]) + "}"
+    accents = ""  # of the suffixes, peeled from the end: outermost first
+    while label.endswith("~") or (label.endswith("bar") and len(label) > 3):
+        tilde = label.endswith("~")
+        accents, label = accents + (r"\tilde{" if tilde else r"\bar{"), label[:-1 if tilde else -3]
+    if accents:
+        return accents + label_to_latex(label) + "}" * accents.count("{")
     match = re.fullmatch(r"([A-Za-z]+?)(\d+)", label)
     if match:
         return label_to_latex(match.group(1)) + "_{" + match.group(2) + "}"

@@ -2,15 +2,16 @@
 
 Used to express a bracket as a combination of basis operators, or an
 old-basis combination in a new basis.  Columns are sparse coordinate
-vectors (dict: coordinate key -> value).  Factoring eliminates the
-coordinate rows, keys in repr order, as sparse dicts against the pivot
-rows found so far, touching only nonzero entries; a row with anything
-left becomes a pivot row led by its first nonzero column, kept with the
-multipliers that reduced it.  No inverse is formed.  A solve applies the
-multipliers to the target's pivot coordinates and back-substitutes
-against the pivot rows, at a cost that follows their nonzeros, then
-verifies the candidate on every coordinate -- the verification residual
-doubles as the discrepancy certificate when no solution exists.
+vectors (dict: coordinate key -> value), and the solver is built one
+column at a time: ``extend`` solves for a column against the columns so
+far, and what is left, if anything, becomes a pivot led by its first key
+in repr order, scaled to 1 there, cleared from the other pivots there, and
+kept with the combination of columns it equals.  The pivots are thus the
+reduced echelon form of the columns, and the pivot keys the first
+independent coordinates in repr order.  A solve sums the pivot
+combinations, each times the target's value at its lead, then verifies
+the candidate on every coordinate -- the residual doubles as the
+discrepancy certificate when no solution exists.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ class DependentColumns(ValueError):
     """The proposed basis columns are linearly dependent."""
 
 
-def _axpy(row: dict, factor: GaussianRational, other: Mapping) -> None:
-    """row -= factor * other, in place, dropping entries that cancel."""
-    factor = -factor
+def _add_scaled(row: dict, factor: GaussianRational, other: Mapping) -> None:
+    """row += factor * other, in place, dropping entries that cancel."""
     for key, value in other.items():
         add_into(row, key, factor * value)
 
@@ -38,57 +38,47 @@ class ColumnSolver:
     """Solve sum_k c_k * column_k = target exactly, for many targets."""
 
     def __init__(self, columns: Sequence[Vector]):
-        self.columns = [dict(col) for col in columns]
-        n = len(self.columns)
-        rows: dict[Hashable, dict[int, GaussianRational]] = {}
-        for j, col in enumerate(self.columns):
-            for key, value in col.items():
-                if value:
-                    rows.setdefault(key, {})[j] = value
-        self.pivot_keys: list[Hashable] = []
-        self._pivots: list[tuple] = []  # (lead column, row, {earlier pivot: multiplier})
-        for key in sorted(rows, key=repr):
-            row = dict(rows[key])
-            multipliers = {}
-            for index, (lead, prow, _) in enumerate(self._pivots):
-                if lead in row:
-                    factor = row[lead] / prow[lead]
-                    multipliers[index] = factor
-                    _axpy(row, factor, prow)
-            if not row:
-                continue
-            self._pivots.append((min(row), row, multipliers))
-            self.pivot_keys.append(key)
-            if len(self.pivot_keys) == n:
-                break
-        if len(self.pivot_keys) < n:
-            raise DependentColumns(
-                f"only {len(self.pivot_keys)} independent coordinates for {n} columns"
-            )
+        self.columns: list[dict] = []
+        # lead key -> (pivot, {column: coefficient}); 1 at its lead, 0 at the other leads
+        self._pivots: dict[Hashable, tuple[dict, dict]] = {}
+        for col in columns:
+            self.extend(col)
+        if len(self.columns) < len(columns):
+            raise DependentColumns(f"only {len(self.columns)} independent coordinates"
+                                   f" for {len(columns)} columns")
+
+    @property
+    def pivot_keys(self) -> list[Hashable]:
+        return sorted(self._pivots, key=repr)
+
+    def extend(self, column: Vector) -> bool:
+        """Keep column if it is independent of the columns so far; say whether it was."""
+        coeffs, rest = self.solve(column)
+        if not rest:
+            return False
+        lead = min(rest, key=repr)
+        scale = GaussianRational(1) / rest[lead]
+        pivot = {key: scale * value for key, value in rest.items()}
+        combination = {j: -scale * c for j, c in enumerate(coeffs) if c}
+        combination[len(self.columns)] = scale
+        for other, other_combination in self._pivots.values():
+            if lead in other:
+                factor = -other[lead]
+                _add_scaled(other, factor, pivot)
+                _add_scaled(other_combination, factor, combination)
+        self._pivots[lead] = (pivot, combination)
+        self.columns.append({key: value for key, value in column.items() if value})
+        return True
 
     def solve(self, target: Vector):
-        """Return (coefficients, residual). residual == {} iff the solve is exact.
-
-        coefficients is the unique candidate satisfying the pivot
-        coordinates; residual maps coordinate keys to target - combination
-        wherever they differ.
-        """
-        reduced: list[GaussianRational] = []
-        for key, (_, _, multipliers) in zip(self.pivot_keys, self._pivots):
-            value = target.get(key, QI_ZERO)
-            for index, factor in multipliers.items():
-                if reduced[index]:
-                    value = value - factor * reduced[index]
-            reduced.append(value)
-        coeffs = [QI_ZERO] * len(self.columns)
-        for (lead, prow, _), value in zip(reversed(self._pivots), reversed(reduced)):
-            for j, entry in prow.items():
-                if coeffs[j]:  # still zero at the lead itself
-                    value = value - entry * coeffs[j]
-            if value:
-                coeffs[lead] = value / prow[lead]
+        """(coefficients, residual): the unique candidate agreeing with target on
+        the pivot keys, and target - its combination wherever they differ."""
+        combination: dict[int, GaussianRational] = {}
+        for key, value in target.items():
+            if value and key in self._pivots:
+                _add_scaled(combination, value, self._pivots[key][1])
+        coeffs = [combination.get(j, QI_ZERO) for j in range(len(self.columns))]
         residual = {key: value for key, value in target.items() if value}
-        for c, col in zip(coeffs, self.columns):
-            if c:
-                _axpy(residual, c, col)
+        for j in sorted(combination):
+            _add_scaled(residual, -combination[j], self.columns[j])
         return coeffs, residual

@@ -4,7 +4,7 @@ _ACCEPTANCE: dict[str, str] = {}
 
 
 def pytest_runtest_logreport(report):
-    if "test_acceptance.py" not in report.nodeid:
+    if report.nodeid.split("::")[0].rsplit("/", 1)[-1] != "test_acceptance.py":
         return
     if report.when == "call":
         _ACCEPTANCE[report.nodeid] = "PASS" if report.passed else "FAIL"

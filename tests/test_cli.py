@@ -192,6 +192,27 @@ def test_non_ascii_digits_and_labels_are_parse_errors(capsys, tmp_path, argv, te
     assert f"{bad}:{where}" in err
 
 
+def test_an_integer_past_the_digit_limit_is_a_parse_error(capsys, tmp_path):
+    # Python refuses int() of a decimal string over 4,300 digits by default
+    bad = tmp_path / "bad.txt"
+    bad.write_text(DMODULE.replace("2*dt", "9" * 5000 + "*dt"))
+    code, out, err = run(capsys, "extract", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert f"{bad}:9:7: 5000-digit integer is too long" in err
+
+
+@pytest.mark.parametrize("suffix, accent", [("~", r"\tilde"), ("bar", r"\bar")],
+                         ids=["tildes", "bars"])
+def test_a_long_chain_of_label_accents_prints_in_latex(capsys, tmp_path, suffix, accent):
+    label = "H" + suffix * 1200
+    real_path = tmp_path / "real.txt"
+    real_path.write_text(DMODULE.replace("A", label).replace("B", "K").replace("2*dt", "dt")
+                         .replace("= t", "= t*dt"))
+    code, out, err = run(capsys, "extract", "--file", str(real_path), "--format", "latex")
+    assert (code, err) == (0, "")
+    assert "[" + (accent + "{") * 1200 + "H" + "}" * 1200 + ", K] &= " in out
+
+
 def test_extract_matches_reference_table(capsys, monkeypatch):
     reference = table_to_dict(corpus.table("n1"))
 

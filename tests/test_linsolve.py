@@ -114,6 +114,72 @@ def test_solver_matches_dense_elimination(system):
         assert coeffs == [gauss(v) for v in solution]
 
 
+def dense_rank(columns, keys=None):
+    """Rank of the columns, or of their rows at `keys` only."""
+    if keys is not None:
+        columns = [{k: v for k, v in col.items() if k in keys} for col in columns]
+    return dense_solve(columns, {})[0]
+
+
+def first_independent_keys(columns):
+    """Greedy over all keys in repr order: keep a key whose row adds to the rank."""
+    chosen = []
+    for key in sorted({k for col in columns for k in col}, key=repr):
+        if dense_rank(columns, {*chosen, key}) > len(chosen):
+            chosen.append(key)
+    return chosen
+
+
+# keys 0..12, so repr order ("10" < "2") is not numeric order
+wide_vectors = st.dictionaries(st.integers(0, 12), entries, max_size=4)
+
+
+@st.composite
+def wide_systems(draw):
+    columns = draw(st.lists(wide_vectors, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        weights = draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
+        columns.insert(draw(st.integers(0, len(columns))), combination(columns, weights))
+    return columns, draw(wide_vectors)
+
+
+@given(wide_systems())
+def test_pivot_keys_are_the_first_independent_coordinates(system):
+    columns, target = system
+    rank = dense_rank(columns)
+    if rank < len(columns):
+        with pytest.raises(DependentColumns) as refused:
+            ColumnSolver([to_solver(col) for col in columns])
+        assert str(refused.value) == (
+            f"only {rank} independent coordinates for {len(columns)} columns")
+        return
+    solver = ColumnSolver([to_solver(col) for col in columns])
+    keys = first_independent_keys(columns)
+    assert solver.pivot_keys == keys
+    if dense_solve(columns, target)[1] is None:  # outside the span
+        residual = solver.solve(to_solver(target))[1]
+        assert residual and not residual.keys() & set(keys)
+
+
+@given(st.lists(wide_vectors, min_size=1, max_size=6))
+def test_extend_refuses_exactly_the_dependent_columns(columns):
+    solver, kept = ColumnSolver([]), []
+    for col in columns:
+        independent = dense_rank([*kept, col]) > len(kept)
+        assert solver.extend(to_solver(col)) is independent
+        if independent:
+            kept.append(col)
+    assert len(solver.columns) == len(kept) == dense_rank(columns)
+
+
+def test_a_repeated_direction_is_refused_with_the_rank():
+    a = {0: GaussianRational(1), 1: GaussianRational(0, 1)}
+    b = {1: GaussianRational(3)}
+    with pytest.raises(DependentColumns,
+                       match="^only 2 independent coordinates for 3 columns$"):
+        ColumnSolver([a, {k: 2 * v for k, v in a.items()}, b])
+
+
 #: Positions, in repr order of all coordinate keys, of the pivot keys chosen
 #: by the dense Gauss-Jordan solver this one replaced.
 RECORDED_PIVOTS = {
