@@ -245,15 +245,11 @@ class Realization:
 
     def transform(self, new_basis: Sequence[BasisItem], matrix: Sequence[Sequence[Scalar]]) -> Realization:
         """New operators new_i = sum_j matrix[i][j] * old_j."""
-        _check_transform(self.basis, new_basis, matrix)
         ops = {}
-        for i, (label, degree) in enumerate(new_basis):
+        for (label, _), row in zip(new_basis, _transform_rows(self.basis, new_basis, matrix)):
             total = None
-            for j, (_, old_degree) in enumerate(self.basis):
-                coeff = as_scalar(matrix[i][j])
-                if not coeff:
-                    continue
-                piece = self.ops[self.basis[j][0]].scale(coeff)
+            for j, c in row.items():
+                piece = self.ops[self.basis[j][0]].scale(Scalar.constant(c))
                 total = piece if total is None else total + piece
             if total is None or total.is_zero:
                 raise SingularTransform(f"new basis element {label} is the zero combination")
@@ -261,13 +257,16 @@ class Realization:
         return Realization(new_basis, ops)
 
 
-def _check_transform(old_basis, new_basis, matrix):
+def _transform_rows(old_basis, new_basis, matrix) -> list[dict[int, GaussianRational]]:
+    """Rows {j: nonzero constant} of new_i = sum_j matrix[i][j] * old_j, once checked."""
     n = len(old_basis)
     if len(new_basis) != n or len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("basis change needs a square matrix over equally sized bases")
-    for i, (label, degree) in enumerate(new_basis):
-        for j, (old_label, old_degree) in enumerate(old_basis):
-            coeff = as_scalar(matrix[i][j])
+    rows = []
+    for (label, degree), entries in zip(new_basis, matrix):
+        row = {}
+        for j, ((old_label, old_degree), value) in enumerate(zip(old_basis, entries)):
+            coeff = as_scalar(value)
             if not coeff:
                 continue
             if not coeff.is_lam_free:
@@ -276,23 +275,23 @@ def _check_transform(old_basis, new_basis, matrix):
                 raise DegreeMixing(
                     f"{label} of degree {degree} draws on {old_label} of degree {old_degree}"
                 )
+            row[j] = coeff.constant_value()
+        rows.append(row)
+    return rows
 
 
 def change_basis(table: BracketTable, new_basis: Sequence[BasisItem],
                  matrix: Sequence[Sequence[Scalar]]) -> BracketTable:
     """Rewrite a table under new_i = sum_j matrix[i][j] * old_j."""
-    _check_transform(table.basis, new_basis, matrix)
-    n = len(table.basis)
-    rows = [{k: v for k in range(n) if (v := as_scalar(matrix[i][k]).constant_value())}
-            for i in range(n)]
+    rows = _transform_rows(table.basis, new_basis, matrix)
+    n = len(rows)
     # new_i = sum_k rows[i][k] * old_k, so solving against the rows for old_t
     # gives row t of the inverse: old_t in the new basis.
     try:
         solver = ColumnSolver(rows)
     except DependentColumns as exc:
         raise SingularTransform("basis-change matrix is singular") from exc
-    inverse = [{m: c for m, c in enumerate(solver.solve({t: GaussianRational(1)})[0]) if c}
-               for t in range(n)]
+    inverse = [solver.solve({t: GaussianRational(1)})[0] for t in range(n)]
     constants: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for i in range(n):
         for j in range(i, n):
@@ -416,15 +415,14 @@ def extract_structure_constants(real: Realization) -> BracketTable:
             target = bracket.coordinate_vector()
             coeffs, residual = solver.solve(target)
             if residual:
-                for k, c in enumerate(coeffs):  # bracket - sum c_k op_k, whatever their degrees
-                    if c:
-                        bracket -= ops[k].scale(Scalar.constant(c)).with_degree(bracket.degree)
+                for k, c in coeffs.items():  # bracket - sum c_k op_k, whatever their degrees
+                    bracket -= ops[k].scale(Scalar.constant(c)).with_degree(bracket.degree)
                 _diagnose_failure((labels[i], labels[j]), columns, target, str(bracket))
             degree = real.basis[i][1] + real.basis[j][1]
-            for k, c in enumerate(coeffs):
-                if c and real.basis[k][1] != degree:
+            for k in coeffs:  # ascending, so the first wrong-degree target in basis order
+                if real.basis[k][1] != degree:
                     raise DegreeViolation((labels[i], labels[j]), degree, real.basis[k])
-            constants[(i, j)] = [(k, Scalar.constant(c)) for k, c in enumerate(coeffs) if c]
+            constants[(i, j)] = [(k, Scalar.constant(c)) for k, c in coeffs.items()]
     return BracketTable(real.basis, constants)
 
 

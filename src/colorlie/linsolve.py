@@ -9,9 +9,9 @@ in repr order, scaled to 1 there, cleared from the other pivots there, and
 kept with the combination of columns it equals.  The pivots are thus the
 reduced echelon form of the columns, and the pivot keys the first
 independent coordinates in repr order.  A solve sums the pivot
-combinations, each times the target's value at its lead, then verifies
-the candidate on every coordinate -- the residual doubles as the
-discrepancy certificate when no solution exists.
+combinations, each times the target's value at its lead, into a sparse
+candidate {column index: coefficient}, then verifies it on every coordinate
+-- the residual doubles as the discrepancy certificate when none exists.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Hashable, Mapping, Sequence
 
 from .lincomb import add_into
-from .scalars import GaussianRational, QI_ZERO
+from .scalars import GaussianRational
 
 Vector = Mapping[Hashable, GaussianRational]
 
@@ -59,7 +59,7 @@ class ColumnSolver:
         lead = min(rest, key=repr)
         scale = GaussianRational(1) / rest[lead]
         pivot = {key: scale * value for key, value in rest.items()}
-        combination = {j: -scale * c for j, c in enumerate(coeffs) if c}
+        combination = {j: -scale * c for j, c in coeffs.items()}
         combination[len(self.columns)] = scale
         for other, other_combination in self._pivots.values():
             if lead in other:
@@ -71,14 +71,15 @@ class ColumnSolver:
         return True
 
     def solve(self, target: Vector):
-        """(coefficients, residual): the unique candidate agreeing with target on
-        the pivot keys, and target - its combination wherever they differ."""
+        """(coeffs, residual): the unique candidate agreeing with target on the
+        pivot keys, as {column index: nonzero coefficient} in ascending column
+        order, and target - its combination wherever they differ."""
         combination: dict[int, GaussianRational] = {}
         for key, value in target.items():
             if value and key in self._pivots:
                 _add_scaled(combination, value, self._pivots[key][1])
-        coeffs = [combination.get(j, QI_ZERO) for j in range(len(self.columns))]
+        coeffs = dict(sorted(combination.items()))
         residual = {key: value for key, value in target.items() if value}
-        for j in sorted(combination):
-            _add_scaled(residual, -combination[j], self.columns[j])
+        for j, c in coeffs.items():
+            _add_scaled(residual, -c, self.columns[j])
         return coeffs, residual

@@ -262,6 +262,34 @@ def test_change_basis_errors():
         change_basis(table, list(table.basis), mixing)
 
 
+@pytest.mark.parametrize("alg", ["g121", "g22"])
+def test_transformed_dmodule_extracts_the_changed_table(alg):
+    # two independent paths to the p/m table: the operators rewritten by
+    # transform and then extracted, and the standard table by change_basis
+    real, _ = corpus.realization(alg, "dmodule")
+    pm = corpus.load(f"{alg}.pm").payload
+    assert real.basis == pm["old_basis"]
+    changed = real.transform(pm["new_basis"], pm["matrix"])
+    assert extract_structure_constants(changed) == corpus.table(alg, "pm")
+
+
+def test_transform_errors():
+    real = mini_realization()
+    n = len(real.basis)
+
+    def identity_with(i, j, value):
+        matrix = [[rational(1 if r == c else 0) for c in range(n)] for r in range(n)]
+        matrix[i][j] = value
+        return matrix
+
+    with pytest.raises(ValueError, match="^basis-change coefficient for h depends on lam$"):
+        real.transform(real.basis, identity_with(0, 0, LAM))
+    with pytest.raises(DegreeMixing, match=r"^p of degree \(0,1\) draws on h of degree \(0,0\)$"):
+        real.transform(real.basis, identity_with(1, 0, rational(1)))
+    with pytest.raises(SingularTransform, match="^new basis element pt is the zero combination$"):
+        real.transform(real.basis, identity_with(2, 2, rational(0)))
+
+
 def test_weights_and_split():
     table = sl2_table()
     wmap = weights(table, ["H"])

@@ -312,6 +312,21 @@ def test_a_wrong_degree_entry_reads_alike_in_jacobi_and_extract(capsys, tmp_path
     assert (code, out, err) == (1, f"{real_path}: extraction failed\n  {reason}\n", "")
 
 
+@pytest.mark.parametrize("targets, first", [
+    ("  P (1,1)\n  Q (0,1)\n", "P of degree (1,1)"),
+    ("  Q (0,1)\n  P (1,1)\n", "Q of degree (0,1)"),
+], ids=["P-first", "Q-first"])
+def test_a_degree_violation_names_the_first_wrong_target_in_basis_order(
+        capsys, tmp_path, targets, first):
+    # [A, B] = -P - Q, and neither P nor Q has the degree (0,0) of the bracket
+    real_path = tmp_path / "real.txt"
+    real_path.write_text(_dmodule("  A = t*dx + t*x*dx\n  B = dt\n  P = dx\n  Q = x*dx\n",
+                                  _AB + targets))
+    code, out, err = run(capsys, "extract", "--file", str(real_path))
+    reason = f"bracket of A and B has degree (0,0) but targets {first}"
+    assert (code, out, err) == (1, f"{real_path}: extraction failed\n  {reason}\n", "")
+
+
 def test_an_id_outside_the_identifier_rule_is_a_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text(GOOD_TABLE.replace("algebra demo", "algebra démo"), encoding="utf-8")

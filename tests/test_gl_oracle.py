@@ -60,7 +60,7 @@ def extracted(text: str) -> BracketTable:
     return algebra.extract_structure_constants(parse_definition(text).payload["realization"])
 
 
-@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1)])
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2)])
 def test_vector_fields_extract_the_closed_form(dims):
     degrees = [degree for degree, m in zip(DEGREES, dims) for _ in range(m)]
     table = extracted(definition("vector-field", degrees, lambda i, j: f"y{i}*D(y{j})"))
