@@ -1,7 +1,7 @@
 """Bracket tables, structure-constant extraction, and verification.
 
 A BracketTable stores the structure constants of a Z2xZ2-graded algebra
-over labeled, graded basis elements.  Constants are lam-free Scalars;
+over labeled, graded basis elements.  Constants are Gaussian rationals;
 entries are stored for index pairs i <= j and the graded antisymmetry
 
     [[x, y]] = -koszul_sign(deg x, deg y) [[y, x]]
@@ -21,9 +21,10 @@ from typing import Mapping, NamedTuple, Sequence, Union
 from .grading import Degree, koszul_sign
 from .lincomb import add_into, signed_sum, term_text
 from .linsolve import ColumnSolver, DependentColumns
-from .scalars import GaussianRational, Scalar, as_scalar
+from .scalars import QI_ZERO, GaussianRational, Scalar, as_scalar
 
-Entry = Sequence[tuple[int, Scalar]]
+Entry = Sequence[tuple[int, object]]  # exact constants, or Scalars that must be lam-free
+Constants = tuple[tuple[int, GaussianRational], ...]
 BasisItem = tuple[str, Degree]
 
 
@@ -113,7 +114,7 @@ class BracketTable:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate basis labels")
         self.index: dict[str, int] = {l: i for i, (l, _) in enumerate(self.basis)}
-        clean: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
+        clean: dict[tuple[int, int], Constants] = {}
         n = len(self.basis)
         for (i, j), entry in constants.items():
             if not (0 <= i <= j < n):
@@ -131,7 +132,7 @@ class BracketTable:
                                                          self.basis[target]))
             if i == j and koszul_sign(self.basis[i][1], self.basis[i][1]) == 1:
                 raise BadEntry((i, j), f"[[{labels[i]}, {labels[i]}]] is a commutator and must vanish")
-            clean[(i, j)] = entry
+            clean[(i, j)] = tuple((target, coeff.constant_value()) for target, coeff in entry)
         self.constants = clean
         self._signed = dict(clean)  # every ordered pair: (j, i) by graded antisymmetry
         for (i, j), entry in clean.items():
@@ -146,11 +147,11 @@ class BracketTable:
     def labels(self) -> list[str]:
         return [l for l, _ in self.basis]
 
-    def bracket(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
+    def bracket(self, i: int, j: int) -> Constants:
         """[[basis_i, basis_j]] as ((target index, coefficient), ...)."""
         return self._signed.get((i, j), ())
 
-    def bracket_by_label(self, la: str, lb: str) -> tuple[tuple[int, Scalar], ...]:
+    def bracket_by_label(self, la: str, lb: str) -> Constants:
         return self.bracket(self.index[la], self.index[lb])
 
     def combo_str(self, entry) -> str:
@@ -246,19 +247,20 @@ class Realization:
     def transform(self, new_basis: Sequence[BasisItem], matrix: Sequence[Sequence[Scalar]]) -> Realization:
         """New operators new_i = sum_j matrix[i][j] * old_j."""
         ops = {}
-        for (label, _), row in zip(new_basis, _transform_rows(self.basis, new_basis, matrix)):
+        for (label, _), row in zip(new_basis, _transform_rows(self.basis, new_basis, matrix)[0]):
             total = None
             for j, c in row.items():
-                piece = self.ops[self.basis[j][0]].scale(Scalar.constant(c))
+                piece = self.ops[self.basis[j][0]].scale(c)
                 total = piece if total is None else total + piece
-            if total is None or total.is_zero:
+            if total.is_zero:  # the operators themselves may be dependent
                 raise SingularTransform(f"new basis element {label} is the zero combination")
             ops[label] = total
         return Realization(new_basis, ops)
 
 
-def _transform_rows(old_basis, new_basis, matrix) -> list[dict[int, GaussianRational]]:
-    """Rows {j: nonzero constant} of new_i = sum_j matrix[i][j] * old_j, once checked."""
+def _transform_rows(old_basis, new_basis, matrix) -> tuple[list[dict[int, GaussianRational]], ColumnSolver]:
+    """Rows {j: nonzero constant} of new_i = sum_j matrix[i][j] * old_j, once
+    checked, and the solver over them; a zero or dependent row is refused."""
     n = len(old_basis)
     if len(new_basis) != n or len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("basis change needs a square matrix over equally sized bases")
@@ -276,46 +278,47 @@ def _transform_rows(old_basis, new_basis, matrix) -> list[dict[int, GaussianRati
                     f"{label} of degree {degree} draws on {old_label} of degree {old_degree}"
                 )
             row[j] = coeff.constant_value()
+        if not row:
+            raise SingularTransform(f"new basis element {label} is the zero combination")
         rows.append(row)
-    return rows
+    try:
+        return rows, ColumnSolver(rows)
+    except DependentColumns as exc:
+        raise SingularTransform("basis-change matrix is singular") from exc
 
 
 def change_basis(table: BracketTable, new_basis: Sequence[BasisItem],
                  matrix: Sequence[Sequence[Scalar]]) -> BracketTable:
     """Rewrite a table under new_i = sum_j matrix[i][j] * old_j."""
-    rows = _transform_rows(table.basis, new_basis, matrix)
+    rows, solver = _transform_rows(table.basis, new_basis, matrix)
     n = len(rows)
     # new_i = sum_k rows[i][k] * old_k, so solving against the rows for old_t
     # gives row t of the inverse: old_t in the new basis.
-    try:
-        solver = ColumnSolver(rows)
-    except DependentColumns as exc:
-        raise SingularTransform("basis-change matrix is singular") from exc
     inverse = [solver.solve({t: GaussianRational(1)})[0] for t in range(n)]
-    constants: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    constants = {}
     for i in range(n):
         for j in range(i, n):
             acc: dict[int, GaussianRational] = {}
             for k, cik in rows[i].items():
                 for l, cjl in rows[j].items():
                     for target, coeff in table.bracket(k, l):
-                        weight = cik * cjl * coeff.constant_value()
+                        weight = cik * cjl * coeff
                         for m, inv in inverse[target].items():
                             add_into(acc, m, weight * inv)
-            constants[(i, j)] = [(m, Scalar.constant(v)) for m, v in acc.items()]
+            constants[(i, j)] = acc.items()
     return BracketTable(new_basis, constants)
 
 
-def _jacobi_sum(values, degrees, i: int, j: int, k: int) -> dict[int, GaussianRational]:
-    """The Jacobi sum of the basis triple (i, j, k) over constant values."""
+def _jacobi_sum(signed, degrees, i: int, j: int, k: int) -> dict[int, GaussianRational]:
+    """The Jacobi sum of the basis triple (i, j, k) over the entries of every ordered pair."""
     a, b, c = degrees[i], degrees[j], degrees[k]
     acc: dict[int, GaussianRational] = {}
     for outer, y, z, sign in ((i, j, k, koszul_sign(a, c)), (j, k, i, koszul_sign(b, a)),
                               (k, i, j, koszul_sign(c, b))):
-        for mid, coeff in values.get((y, z), ()):
+        for mid, coeff in signed.get((y, z), ()):
             if sign < 0:
                 coeff = -coeff
-            for target, coeff2 in values.get((outer, mid), ()):
+            for target, coeff2 in signed.get((outer, mid), ()):
                 add_into(acc, target, coeff * coeff2)
     return acc
 
@@ -335,15 +338,13 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
     """
     degrees = [d for _, d in table.basis]
     n = len(degrees)
-    values = {pair: tuple((t, c.constant_value()) for t, c in entry)
-              for pair, entry in table._signed.items()}
     if triples is None:
         checked = n ** 3
         sorted_triples = combinations_with_replacement(range(n), 3)
     else:
         checked = len(triples)
         sorted_triples = {tuple(sorted(t)) for t in triples}
-    sums = {t: acc for t in sorted_triples if (acc := _jacobi_sum(values, degrees, *t))}
+    sums = {t: acc for t in sorted_triples if (acc := _jacobi_sum(table._signed, degrees, *t))}
     if triples is None:
         triples = sorted({p for t in sums for p in permutations(t)})
     entries = []
@@ -355,7 +356,7 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
         a, b, c = degrees[i], degrees[j], degrees[k]
         odd = (i, j, k) not in (key, key[1:] + key[:1], key[2:] + key[:2])
         sign = -1 if odd and koszul_sign(a, b) * koszul_sign(b, c) * koszul_sign(c, a) == 1 else 1
-        residual = table.combo_str(sorted((t, Scalar.constant(v * sign)) for t, v in acc.items()))
+        residual = table.combo_str(sorted((t, v * sign) for t, v in acc.items()))
         labels = (table.basis[i][0], table.basis[j][0], table.basis[k][0])
         entries.append(Discrepancy("jacobi", labels, "0", residual, residual))
     return DiscrepancyReport("graded Jacobi", checked, tuple(entries))
@@ -416,30 +417,30 @@ def extract_structure_constants(real: Realization) -> BracketTable:
             coeffs, residual = solver.solve(target)
             if residual:
                 for k, c in coeffs.items():  # bracket - sum c_k op_k, whatever their degrees
-                    bracket -= ops[k].scale(Scalar.constant(c)).with_degree(bracket.degree)
+                    bracket -= ops[k].scale(c).with_degree(bracket.degree)
                 _diagnose_failure((labels[i], labels[j]), columns, target, str(bracket))
             degree = real.basis[i][1] + real.basis[j][1]
             for k in coeffs:  # ascending, so the first wrong-degree target in basis order
                 if real.basis[k][1] != degree:
                     raise DegreeViolation((labels[i], labels[j]), degree, real.basis[k])
-            constants[(i, j)] = [(k, Scalar.constant(c)) for k, c in coeffs.items()]
+            constants[(i, j)] = coeffs.items()
     return BracketTable(real.basis, constants)
 
 
-def weights(table: BracketTable, grading_labels: Sequence[str]) -> dict[str, tuple[Scalar, ...]]:
+def weights(table: BracketTable, grading_labels: Sequence[str]) -> dict[str, tuple[GaussianRational, ...]]:
     """Eigenvalues of ad(grading element) on each basis element.
 
     [[Z, Y]] must equal weight * Y (or 0) for every listed Z; anything
     else raises NotEigenvector.
     """
-    out: dict[str, tuple[Scalar, ...]] = {}
+    out: dict[str, tuple[GaussianRational, ...]] = {}
     for label, _ in table.basis:
         y = table.index[label]
         row = []
         for z_label in grading_labels:
             entry = table.bracket(table.index[z_label], y)
             if not entry:
-                row.append(Scalar())
+                row.append(QI_ZERO)
             elif len(entry) == 1 and entry[0][0] == y:
                 row.append(entry[0][1])
             else:
@@ -448,17 +449,18 @@ def weights(table: BracketTable, grading_labels: Sequence[str]) -> dict[str, tup
     return out
 
 
-def triangular_split(weight_map: Mapping[str, tuple[Scalar, ...]]) -> dict[str, list[str]]:
-    """Partition labels by the lexicographic sign of their weight vector."""
+def triangular_split(weight_map: Mapping[str, tuple[GaussianRational, ...]]) -> dict[str, list[str]]:
+    """Partition labels by the lexicographic sign of their real weight vector."""
     split = {"positive": [], "zero": [], "negative": []}
     for label, row in weight_map.items():
         bucket = "zero"
         for value in row:
-            rat = value.as_real_rational()
-            if rat > 0:
+            if value.im:
+                raise ValueError(f"weight {value} of {label} is not real")
+            if value.re > 0:
                 bucket = "positive"
                 break
-            if rat < 0:
+            if value.re < 0:
                 bucket = "negative"
                 break
         split[bucket].append(label)

@@ -775,15 +775,10 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _scalar_to_json(scalar: Scalar) -> list[dict]:
-    terms = []
-    for exp, value in scalar.items():
-        terms.append({
-            "re": [value.re.numerator, value.re.denominator],
-            "im": [value.im.numerator, value.im.denominator],
-            "lam": exp,
-        })
-    return terms
+def _constant_to_json(value: GaussianRational) -> list[dict]:
+    """A table constant in the one-term form of a lam-polynomial."""
+    re, im = value.re, value.im
+    return [{"re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator], "lam": 0}]
 
 
 def table_to_dict(table: BracketTable) -> dict:
@@ -793,7 +788,7 @@ def table_to_dict(table: BracketTable) -> dict:
         brackets.append({
             "left": table.basis[i][0],
             "right": table.basis[j][0],
-            "value": [{"target": table.basis[target][0], "coeff": _scalar_to_json(coeff)}
+            "value": [{"target": table.basis[target][0], "coeff": _constant_to_json(coeff)}
                       for target, coeff in entry],
         })
     return {"basis": basis, "brackets": brackets}
@@ -838,18 +833,8 @@ def _gaussian_latex(value: GaussianRational) -> str:
     return signed_sum([_rational_latex(value.re), imag]) if value.re else imag
 
 
-def scalar_to_latex(scalar: Scalar) -> str:
-    """Constants print raw; each lam power is a term with its coefficient."""
-    parts = []
-    for exp, value in scalar.items():
-        coeff = _gaussian_latex(value)
-        power = r"\lambda" if exp == 1 else r"\lambda^{%d}" % exp
-        parts.append(term_text(coeff, [power], "") if exp else coeff)
-    return signed_sum(parts)
-
-
 def _combo_latex(table: BracketTable, entry) -> str:
-    return signed_sum(term_text(scalar_to_latex(c), [label_to_latex(table.basis[t][0])], "")
+    return signed_sum(term_text(_gaussian_latex(c), [label_to_latex(table.basis[t][0])], "")
                       for t, c in entry)
 
 

@@ -2,8 +2,9 @@
 
 Weyl and matrix operators, graded polynomials and vector fields, table
 entries, residuals and lam-polynomials are all finite sums held as a dict
-{key: nonzero coefficient}, a Scalar (a Gaussian rational in matrix operators,
-whose keys end in the lam exponent).  This module owns what they share:
+{key: nonzero coefficient}: a Scalar in Weyl operators, polynomials and
+vector fields, a Gaussian rational elsewhere (matrix operator keys end in
+the lam exponent).  This module owns what they share:
 
 * ``add_into`` -- the one accumulate-and-drop-zero step;
 * ``Frozen`` -- immutable slotted values that pickle slot by slot;

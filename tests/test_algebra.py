@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from colorlie.grading import D00, D01, D10, D11, koszul_sign
-from colorlie.scalars import I, LAM, GaussianRational, Scalar, rational
+from colorlie.scalars import I, LAM, QI_ZERO, GaussianRational, Scalar, rational
 from colorlie import corpus, weyl
 from colorlie.algebra import (
     BasisMismatch,
@@ -144,14 +144,14 @@ def perturbed_n1_tables(draw):
     factors = st.sampled_from(JACOBI_FACTORS)
     for key in draw(st.lists(st.sampled_from(sorted(constants)), max_size=3, unique=True)):
         target = draw(st.sampled_from(sorted(constants[key])))
-        constants[key][target] = constants[key][target] * Scalar.constant(draw(factors))
+        constants[key][target] = constants[key][target] * draw(factors)
     pairs = [(i, j) for i in range(n) for j in range(i, n)
              if i < j or koszul_sign(basis[i][1], basis[i][1]) == -1]
     for i, j in draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)):
         targets = [t for t in range(n) if basis[t][1] == basis[i][1] + basis[j][1]]
         target = draw(st.sampled_from(targets))
         entry = constants.setdefault((i, j), {})
-        entry[target] = entry.get(target, Scalar()) + Scalar.constant(draw(factors))
+        entry[target] = entry.get(target, QI_ZERO) + draw(factors)
     return BracketTable(basis, {key: list(entry.items()) for key, entry in constants.items()})
 
 
@@ -290,6 +290,13 @@ def test_transform_errors():
         real.transform(real.basis, identity_with(2, 2, rational(0)))
 
 
+def test_transform_refuses_dependent_rows_that_are_all_nonzero():
+    real = mini_realization()
+    rows = [[rational(v) for v in row] for row in ([1, 0, 1], [0, 1, 0], [2, 0, 2])]
+    with pytest.raises(SingularTransform, match="^basis-change matrix is singular$"):
+        real.transform(real.basis, rows)
+
+
 def test_weights_and_split():
     table = sl2_table()
     wmap = weights(table, ["H"])
@@ -302,12 +309,20 @@ def test_weights_and_split():
 
 def test_lexicographic_split_uses_first_nonzero():
     wmap = {
-        "a": (rational(0), rational(3)),
-        "b": (rational(-1), rational(5)),
-        "c": (rational(0), rational(0)),
+        "a": (GaussianRational(0), GaussianRational(3)),
+        "b": (GaussianRational(-1), GaussianRational(5)),
+        "c": (GaussianRational(0), GaussianRational(0)),
     }
     split = triangular_split(wmap)
     assert split == {"positive": ["a"], "zero": ["c"], "negative": ["b"]}
+
+
+def test_split_refuses_a_weight_with_an_imaginary_part():
+    zero, i = GaussianRational(0), GaussianRational(0, 1)
+    with pytest.raises(ValueError, match="^weight i of a is not real$"):
+        triangular_split({"a": (zero, i)})
+    with pytest.raises(ValueError, match=r"^weight \(1\+i\) of b is not real$"):
+        triangular_split({"b": (GaussianRational(1, 1), zero)})
 
 
 def test_verify_realization_empty_report_and_localized_residuals():
@@ -370,3 +385,31 @@ def test_bracket_flips_the_stored_constants_for_every_ordered_pair(table_id):
                 sign = (-1) ** (1 + di.a1 * dj.a1 + di.a2 * dj.a2)  # -(-1)^<di, dj>
                 expected = tuple((t, c * sign) for t, c in table.constants.get((j, i), ()))
             assert table.bracket(i, j) == expected, (table_id, i, j)
+
+
+@pytest.mark.parametrize("path", ["built", "parsed", "restrict", "change_basis", "extract"])
+def test_table_entries_are_gaussian_rationals_on_every_construction_path(path):
+    tables = {
+        "built": lambda: [sl2_table(), mini_table()],  # from lam-free Scalars
+        "parsed": lambda: [corpus.table("g121"), corpus.table("g22")],
+        "restrict": lambda: [corpus.table("n1")],
+        "change_basis": lambda: [corpus.table("g121", "pm"), corpus.table("g22", "pm")],
+        "extract": lambda: [extract_structure_constants(corpus.realization("n1", "dmodule")[0])],
+    }[path]()
+    for table in tables:
+        n = len(table)
+        coeffs = [c for i in range(n) for j in range(n) for _, c in table.bracket(i, j)]
+        assert coeffs and {type(c) for c in coeffs} == {GaussianRational}, path
+
+
+gaussian_parts = st.one_of(st.sampled_from([0, 1, -1]),
+                           st.fractions(min_value=-7, max_value=7, max_denominator=6))
+gaussians = st.builds(GaussianRational, gaussian_parts, gaussian_parts)
+
+
+@given(gaussians, st.lists(gaussians, max_size=3))
+def test_constants_print_as_the_lam_free_scalars_they_replace(value, coeffs):
+    assert str(value) == str(Scalar.constant(value))
+    table = sl2_table()
+    entry = list(enumerate(coeffs))
+    assert table.combo_str(entry) == table.combo_str([(t, Scalar.constant(c)) for t, c in entry])

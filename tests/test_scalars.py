@@ -59,9 +59,6 @@ def test_scalar_lam_polynomials():
     assert not p.is_lam_free
     with pytest.raises(ValueError):
         p.constant_value()
-    assert rational(-7, 3).as_real_rational() == Fraction(-7, 3)
-    with pytest.raises(ValueError):
-        I.as_real_rational()
 
 
 def test_scalar_str_forms():
