@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement, permutations
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .grading import Degree, koszul_sign
-from .lincomb import add_into, signed_sum, term_text
+from .lincomb import add_into, add_scaled, signed_sum, term_text
 from .linsolve import ColumnSolver, DependentColumns
 from .scalars import QI_ZERO, GaussianRational, Scalar, as_scalar
 
@@ -302,9 +302,7 @@ def change_basis(table: BracketTable, new_basis: Sequence[BasisItem],
             for k, cik in rows[i].items():
                 for l, cjl in rows[j].items():
                     for target, coeff in table.bracket(k, l):
-                        weight = cik * cjl * coeff
-                        for m, inv in inverse[target].items():
-                            add_into(acc, m, weight * inv)
+                        add_scaled(acc, cik * cjl * coeff, inverse[target].items())
             constants[(i, j)] = acc.items()
     return BracketTable(new_basis, constants)
 
@@ -316,10 +314,7 @@ def _jacobi_sum(signed, degrees, i: int, j: int, k: int) -> dict[int, GaussianRa
     for outer, y, z, sign in ((i, j, k, koszul_sign(a, c)), (j, k, i, koszul_sign(b, a)),
                               (k, i, j, koszul_sign(c, b))):
         for mid, coeff in signed.get((y, z), ()):
-            if sign < 0:
-                coeff = -coeff
-            for target, coeff2 in signed.get((outer, mid), ()):
-                add_into(acc, target, coeff * coeff2)
+            add_scaled(acc, -coeff if sign < 0 else coeff, signed.get((outer, mid), ()))
     return acc
 
 
@@ -330,9 +325,8 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
     (-1)^<a,c> [[x,[[y,z]]]] + (-1)^<b,a> [[y,[[z,x]]]] + (-1)^<c,b> [[z,[[x,y]]]] = 0.
 
     The sum J is formed once per sorted triple i <= j <= k.  Graded
-    antisymmetry of the table makes J unchanged by a cyclic shift, and
-    swapping two arguments multiplies it by -(-1)^(<a,b>+<b,c>+<c,a>); so
-    a nonzero J is expanded into its distinct ordered permutations, each
+    antisymmetry of the table makes J of a permutation J or -J, so only a
+    nonzero J is formed again for each distinct ordered permutation, each
     with its own residual, listed in lexicographic order.  ``checked``
     still counts ordered triples: n^3, or len(triples) for a given subset.
     """
@@ -344,19 +338,15 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
     else:
         checked = len(triples)
         sorted_triples = {tuple(sorted(t)) for t in triples}
-    sums = {t: acc for t in sorted_triples if (acc := _jacobi_sum(table._signed, degrees, *t))}
+    failing = {t for t in sorted_triples if _jacobi_sum(table._signed, degrees, *t)}
     if triples is None:
-        triples = sorted({p for t in sums for p in permutations(t)})
+        triples = sorted({p for t in failing for p in permutations(t)})
     entries = []
     for i, j, k in triples:
-        key = tuple(sorted((i, j, k)))
-        acc = sums.get(key)
-        if acc is None:
+        if tuple(sorted((i, j, k))) not in failing:
             continue
-        a, b, c = degrees[i], degrees[j], degrees[k]
-        odd = (i, j, k) not in (key, key[1:] + key[:1], key[2:] + key[:2])
-        sign = -1 if odd and koszul_sign(a, b) * koszul_sign(b, c) * koszul_sign(c, a) == 1 else 1
-        residual = table.combo_str(sorted((t, v * sign) for t, v in acc.items()))
+        acc = _jacobi_sum(table._signed, degrees, i, j, k)
+        residual = table.combo_str(sorted(acc.items()))
         labels = (table.basis[i][0], table.basis[j][0], table.basis[k][0])
         entries.append(Discrepancy("jacobi", labels, "0", residual, residual))
     return DiscrepancyReport("graded Jacobi", checked, tuple(entries))

@@ -119,8 +119,6 @@ def table(algebra: str, basis: str = "standard") -> BracketTable:
     if basis == "standard":
         return load(f"{algebra}.table").payload["table"]
     if basis == "pm":
-        if algebra == "n1":
-            raise UnknownId("n1.table_pm")
         return load(f"{algebra}.table_pm").payload["table"]
     raise ValueError(f"unknown basis {basis!r} (expected 'standard' or 'pm')")
 
@@ -149,6 +147,4 @@ def realization(algebra: str, which: str) -> tuple[Realization, BracketTable]:
 
 def weights_entry(algebra: str) -> CorpusEntry:
     """The weights entry of an algebra (p/m basis for g121/g22)."""
-    if algebra not in ALGEBRAS:
-        raise UnknownId(f"{algebra}.weights")
     return load(f"{algebra}.weights")

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .grading import Degree, koszul_sign
-from .lincomb import add_into, signed_sum, term_text
+from .lincomb import LinComb, signed_sum, term_text
 from .scalars import GaussianRational, Scalar, as_scalar
 from . import matop, scalars, vecfield, weyl
 from .algebra import AlgebraError, BadEntry, BracketTable, DiscrepancyReport, Realization
@@ -108,7 +108,7 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
 # expression parser (tokens -> values, in one pass)
 #
 # Each grammar rule returns the value it denotes: a Scalar, a MatDiffOp, a
-# GradedDiffOp or, inside a bracket-table entry, a {label: Scalar} dict.
+# GradedDiffOp or, inside a bracket-table entry, a _Labels combination.
 # Sums and products dispatch on those types, and errors are located at the
 # token in hand: the operator that fails, or the name that does not resolve.
 
@@ -132,10 +132,11 @@ def _promote(scalar: Scalar, context: Union[VarContext, None]):
     return vecfield.multiplier(context.scalar(scalar))
 
 
-def _neg(value):
-    if isinstance(value, dict):
-        return {label: -coeff for label, coeff in value.items()}
-    return -value
+class _Labels(LinComb):
+    """A combination of basis labels, {label: Scalar}: the value of a table entry."""
+
+    __slots__ = ("terms",)
+    __mul__ = LinComb.scale
 
 
 def _add(left, right, at: Token):
@@ -144,14 +145,9 @@ def _add(left, right, at: Token):
     elif isinstance(right, Scalar) and isinstance(left, _OPERATORS):
         right = _promote(right, getattr(left, "ctx", None))
     if type(left) is not type(right):
-        if isinstance(left, dict) or isinstance(right, dict):
+        if isinstance(left, _Labels) or isinstance(right, _Labels):
             raise ParseError("cannot add a bare scalar or operator to basis labels", at.line, at.col)
         raise ParseError(_MIXING, at.line, at.col)
-    if isinstance(left, dict):
-        merged = dict(left)
-        for label, coeff in right.items():
-            add_into(merged, label, coeff)
-        return merged
     try:  # operators of different degrees or variable contexts
         return left + right
     except ValueError as exc:
@@ -162,10 +158,8 @@ def _mul(left, right, at: Token):
     if isinstance(left, Scalar) and not isinstance(right, Scalar):
         left, right = right, left  # a scalar factor commutes with everything
     if isinstance(right, Scalar):
-        if isinstance(left, dict):
-            return {label: coeff * right for label, coeff in left.items()}
         return left * right
-    if isinstance(left, dict) or isinstance(right, dict):
+    if isinstance(left, _Labels) or isinstance(right, _Labels):
         raise ParseError("basis labels cannot be multiplied inside a table entry", at.line, at.col)
     if type(left) is not type(right):
         raise ParseError(_MIXING, at.line, at.col)
@@ -233,11 +227,11 @@ class _ExprParser:
         negate = (self.at_sym("+") or self.at_sym("-")) and self.advance().value == "-"
         value = self.parse_term()
         if negate:
-            value = _neg(value)
+            value = -value
         while self.at_sym("+") or self.at_sym("-"):
             op = self.advance()
             rhs = self.parse_term()
-            value = _add(value, rhs if op.value == "+" else _neg(rhs), op)
+            value = _add(value, rhs if op.value == "+" else -rhs, op)
         return value
 
     def parse_term(self):
@@ -330,7 +324,7 @@ class _ExprParser:
             return _MATRIX_ATOMS[name]
         if self.labels is not None:
             if name in self.labels:
-                return {name: scalars.ONE}
+                return _Labels._of({name: scalars.ONE})
             raise ParseError(f"unknown basis label {name!r}", at.line, at.col)
         if self.ctx is not None and name in self.ctx:
             return vecfield.multiplier(self.ctx.poly(name))
@@ -354,8 +348,8 @@ def parse_operator_expr(text: str, context: Union[VarContext, None] = None,
 def parse_combination(text: str, labels: Sequence[str], line: int = 1, col: int = 1) -> dict[str, Scalar]:
     """Parse a linear combination of basis labels; '0' gives {}."""
     value = _ExprParser(text, line, col, labels=labels).parse_all()
-    if isinstance(value, dict):
-        return value
+    if isinstance(value, _Labels):
+        return value.terms
     if isinstance(value, Scalar) and not value:
         return {}
     raise ParseError("a table entry must be 0 or a combination of basis labels", line, col)
@@ -819,22 +813,13 @@ def label_to_latex(label: str) -> str:
     return _GREEK.get(label, label)
 
 
-def _rational_latex(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return sign + r"\tfrac{%d}{%d}" % (abs(value.numerator), value.denominator)
-
-
-def _gaussian_latex(value: GaussianRational) -> str:
-    if not value.im:
-        return _rational_latex(value.re)
-    imag = "i" if value.im == 1 else "-i" if value.im == -1 else _rational_latex(value.im) + "i"
-    return signed_sum([_rational_latex(value.re), imag]) if value.re else imag
+def _coeff_latex(value: GaussianRational) -> str:
+    """str(value) in LaTeX: each p/q as \\tfrac{p}{q}, and q*i as qi."""
+    return re.sub(r"(\d+)/(\d+)", r"\\tfrac{\1}{\2}", str(value)).replace("*i", "i")
 
 
 def _combo_latex(table: BracketTable, entry) -> str:
-    return signed_sum(term_text(_gaussian_latex(c), [label_to_latex(table.basis[t][0])], "")
+    return signed_sum(term_text(_coeff_latex(c), [label_to_latex(table.basis[t][0])], "")
                       for t, c in entry)
 
 

@@ -6,7 +6,8 @@ entries, residuals and lam-polynomials are all finite sums held as a dict
 vector fields, a Gaussian rational elsewhere (matrix operator keys end in
 the lam exponent).  This module owns what they share:
 
-* ``add_into`` -- the one accumulate-and-drop-zero step;
+* ``add_into`` -- the one accumulate-and-drop-zero step, and ``add_scaled``,
+  which accumulates a multiple of (key, value) pairs with it;
 * ``Frozen`` -- immutable slotted values that pickle slot by slot;
 * ``LinComb`` -- the linear structure of a ``terms`` dict;
 * ``term_text`` and ``signed_sum`` -- the one term printer;
@@ -40,6 +41,12 @@ def add_into(terms: dict, key, value) -> None:
         terms[key] = total
     else:
         del terms[key]
+
+
+def add_scaled(terms: dict, factor, items: Iterable) -> None:
+    """terms += factor * the (key, value) pairs of items, in place, dropping keys that cancel."""
+    for key, value in items:
+        add_into(terms, key, factor * value)
 
 
 class Frozen:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping, Sequence
 
-from .lincomb import add_into
+from .lincomb import add_scaled
 from .scalars import GaussianRational
 
 Vector = Mapping[Hashable, GaussianRational]
@@ -26,12 +26,6 @@ Vector = Mapping[Hashable, GaussianRational]
 
 class DependentColumns(ValueError):
     """The proposed basis columns are linearly dependent."""
-
-
-def _add_scaled(row: dict, factor: GaussianRational, other: Mapping) -> None:
-    """row += factor * other, in place, dropping entries that cancel."""
-    for key, value in other.items():
-        add_into(row, key, factor * value)
 
 
 class ColumnSolver:
@@ -64,8 +58,8 @@ class ColumnSolver:
         for other, other_combination in self._pivots.values():
             if lead in other:
                 factor = -other[lead]
-                _add_scaled(other, factor, pivot)
-                _add_scaled(other_combination, factor, combination)
+                add_scaled(other, factor, pivot.items())
+                add_scaled(other_combination, factor, combination.items())
         self._pivots[lead] = (pivot, combination)
         self.columns.append({key: value for key, value in column.items() if value})
         return True
@@ -77,9 +71,9 @@ class ColumnSolver:
         combination: dict[int, GaussianRational] = {}
         for key, value in target.items():
             if value and key in self._pivots:
-                _add_scaled(combination, value, self._pivots[key][1])
+                add_scaled(combination, value, self._pivots[key][1].items())
         coeffs = dict(sorted(combination.items()))
         residual = {key: value for key, value in target.items() if value}
         for j, c in coeffs.items():
-            _add_scaled(residual, -c, self.columns[j])
+            add_scaled(residual, -c, self.columns[j].items())
         return coeffs, residual

@@ -1,6 +1,8 @@
 """Tables, extraction, Jacobi audits, basis changes, weights, verification."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -88,6 +90,36 @@ def test_check_jacobi_passes_and_catches_mutations():
     # the failing triples name H, E, F together
     labels = {frozenset(d.labels) for d in bad.entries}
     assert frozenset({"H", "E", "F"}) in labels
+
+
+@pytest.mark.parametrize("algebra, basis", [
+    ("g121", "standard"), ("g121", "pm"), ("g22", "standard"), ("g22", "pm"), ("n1", "standard"),
+])
+def test_jacobi_subset_report_is_the_full_report_filtered(algebra, basis):
+    table = corpus.table(algebra, basis)
+    n = len(table.basis)
+    rng = random.Random(f"{algebra}.{basis}")
+    factors = [GaussianRational(2), GaussianRational(-1), GaussianRational(0, 1),
+               GaussianRational(Fraction(1, 2)), GaussianRational(-2)]
+    for _ in range(2):
+        # a seeded mutant: three stored constants scaled
+        mutated = {key: list(entry) for key, entry in table.constants.items()}
+        for key in rng.sample(sorted(mutated), 3):
+            at = rng.randrange(len(mutated[key]))
+            target, coeff = mutated[key][at]
+            mutated[key][at] = (target, coeff * rng.choice(factors))
+        mutant = BracketTable(table.basis, mutated)
+        full = check_jacobi(mutant)
+        assert not full.ok
+        by_triple = {tuple(mutant.index[label] for label in item.labels): item
+                     for item in full.entries}
+        triples = rng.sample(sorted(by_triple), min(len(by_triple), 40))
+        triples += [tuple(rng.randrange(n) for _ in range(3)) for _ in range(120)]
+        rng.shuffle(triples)
+        triples += triples[:5]  # a repeated triple is reported again
+        subset = check_jacobi(mutant, triples)
+        assert subset.checked == len(triples)
+        assert list(subset.entries) == [by_triple[t] for t in triples if t in by_triple]
 
 
 # -- Scheunert's twist: an independent oracle for graded Jacobi ---------------

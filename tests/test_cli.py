@@ -267,6 +267,17 @@ def test_extract_failures_are_reported(capsys, tmp_path, operators, error, reaso
     assert code == 1 and reason in out and "Traceback" not in out + err
 
 
+def test_columns_dependent_at_every_lam_point_leave_the_span(capsys, tmp_path):
+    # B = lam*A is independent of A over the constants but dependent at every
+    # value of lam, so no sample point decides, and [A, C] = 1 leaves the span.
+    real_path = tmp_path / "real.txt"
+    real_path.write_text(_dmodule("  A = dt\n  B = lam*dt\n  C = t\n", _AB + "  C (0,0)\n"))
+    code, out, err = run(capsys, "extract", "--file", str(real_path))
+    assert (code, err) == (1, "")
+    assert out == (f"{real_path}: extraction failed\n  bracket of A and C leaves the basis span;"
+                   " residual " + " + ".join(f"e({k},{k})*(1)" for k in range(1, 5)) + "\n")
+
+
 @pytest.mark.parametrize("text", [
     _dmodule("  A = t\n  B = x\n\nderived:\n  C = [A, B]\n", _AB + "  C (0,1)\n"),
     "algebra demo\nkind vector-field\n\nvariables:\n  x1 (0,0)\n\nbasis:\n  A (0,0)\n"

@@ -4,13 +4,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from colorlie.algebra import BracketTable
 from colorlie.grading import Degree
 from colorlie.grassmann import VarContext
-from colorlie.io import (_MAX_NESTING, CorpusEntry, ParseError, emit_definition, emit_report,
-                         emit_table, parse_combination, parse_definition,
-                         parse_operator_expr, table_to_dict, tokenize)
+from colorlie.lincomb import signed_sum, term_text
+from colorlie.io import (_MAX_NESTING, CorpusEntry, ParseError, _coeff_latex, _combo_latex,
+                         emit_definition, emit_report, emit_table, label_to_latex,
+                         parse_combination, parse_definition, parse_operator_expr,
+                         table_to_dict, tokenize)
 from colorlie.matop import MatDiffOp
 from colorlie.scalars import GaussianRational, Scalar
 from colorlie.vecfield import GradedDiffOp, partial
@@ -297,6 +300,39 @@ def test_latex_labels():
     assert label_to_latex("Qp") == "Q_{+}"
     assert label_to_latex("Lamm") == r"\Lambda_{-}"
     assert label_to_latex("Pi1") == r"\Pi_{1}"
+
+
+def _rational_latex(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    sign = "-" if value < 0 else ""
+    return sign + r"\tfrac{%d}{%d}" % (abs(value.numerator), value.denominator)
+
+
+def _gaussian_latex(value: GaussianRational) -> str:
+    """The LaTeX coefficient written out part by part: the oracle for _coeff_latex."""
+    if not value.im:
+        return _rational_latex(value.re)
+    imag = "i" if value.im == 1 else "-i" if value.im == -1 else _rational_latex(value.im) + "i"
+    return signed_sum([_rational_latex(value.re), imag]) if value.re else imag
+
+
+_PARTS = st.one_of(st.sampled_from([0, 1, -1]),
+                   st.fractions(min_value=-50, max_value=50, max_denominator=40))
+_LATEX_LABELS = [("H", Degree(0, 0)), ("Qp", Degree(0, 1)), ("P~", Degree(1, 0)),
+                 ("Lam1", Degree(1, 1))]
+
+
+@given(st.lists(st.builds(GaussianRational, _PARTS, _PARTS),
+                min_size=1, max_size=len(_LATEX_LABELS)))
+def test_latex_coefficients_print_as_the_oracle(values):
+    for value in values:  # alone, as the one term printer would place it
+        assert term_text(_coeff_latex(value), []) == term_text(_gaussian_latex(value), [])
+    table = BracketTable(_LATEX_LABELS, {})
+    entry = [(t, value) for t, value in enumerate(values) if value]
+    assert _combo_latex(table, entry) == signed_sum(
+        term_text(_gaussian_latex(value), [label_to_latex(_LATEX_LABELS[t][0])], "")
+        for t, value in entry)
 
 
 def test_report_emitters():
