@@ -326,7 +326,7 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
 
     The sum J is formed once per sorted triple i <= j <= k.  Graded
     antisymmetry of the table makes J of a permutation J or -J, so only a
-    nonzero J is formed again for each distinct ordered permutation, each
+    nonzero J is formed again, once for each other ordered permutation, each
     with its own residual, listed in lexicographic order.  ``checked``
     still counts ordered triples: n^3, or len(triples) for a given subset.
     """
@@ -338,16 +338,17 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
     else:
         checked = len(triples)
         sorted_triples = {tuple(sorted(t)) for t in triples}
-    failing = {t for t in sorted_triples if _jacobi_sum(table._signed, degrees, *t)}
+    sums = {t: acc for t in sorted_triples if (acc := _jacobi_sum(table._signed, degrees, *t))}
     if triples is None:
-        triples = sorted({p for t in failing for p in permutations(t)})
+        triples = sorted({p for t in sums for p in permutations(t)})
     entries = []
-    for i, j, k in triples:
-        if tuple(sorted((i, j, k))) not in failing:
+    for t in map(tuple, triples):
+        if tuple(sorted(t)) not in sums:
             continue
-        acc = _jacobi_sum(table._signed, degrees, i, j, k)
-        residual = table.combo_str(sorted(acc.items()))
-        labels = (table.basis[i][0], table.basis[j][0], table.basis[k][0])
+        if t not in sums:
+            sums[t] = _jacobi_sum(table._signed, degrees, *t)
+        residual = table.combo_str(sorted(sums[t].items()))
+        labels = tuple(table.basis[x][0] for x in t)
         entries.append(Discrepancy("jacobi", labels, "0", residual, residual))
     return DiscrepancyReport("graded Jacobi", checked, tuple(entries))
 

@@ -122,6 +122,29 @@ def test_jacobi_subset_report_is_the_full_report_filtered(algebra, basis):
         assert list(subset.entries) == [by_triple[t] for t in triples if t in by_triple]
 
 
+def test_jacobi_forms_each_ordered_triple_at_most_once(monkeypatch):
+    # J of a failing sorted triple is reused for its report line, and a
+    # triple repeated in a subset does not form J again.
+    from colorlie import algebra
+    formed = []
+    jacobi_sum = algebra._jacobi_sum
+
+    def counting(signed, degrees, *triple):
+        formed.append(triple)
+        return jacobi_sum(signed, degrees, *triple)
+
+    monkeypatch.setattr(algebra, "_jacobi_sum", counting)
+    table = sl2_table(hf_coeff=2)
+    failing = {tuple(table.index[label] for label in item.labels)
+               for item in check_jacobi(table).entries}
+    assert failing
+    sorted_triples = set(itertools.combinations_with_replacement(range(3), 3))
+    assert len(formed) == len(set(formed)) and set(formed) == sorted_triples | failing
+    formed.clear()
+    assert check_jacobi(table, sorted(failing) * 2).checked == 2 * len(failing)
+    assert len(formed) == len(set(formed)) and set(formed) == failing
+
+
 # -- Scheunert's twist: an independent oracle for graded Jacobi ---------------
 #
 # With sigma(a,b) = (-1)^(a1*b2), the twisted bracket [x,y]' = sigma(a,b)[x,y]
