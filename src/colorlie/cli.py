@@ -1,7 +1,8 @@
 """Command-line interface: verify, extract, jacobi, weights, split, export.
 
 Exit codes: 0 all checks passed, 1 discrepancies or failures found
-(report on stdout), 2 usage or parse errors (diagnostics on stderr).
+(report on stdout), 2 usage or parse errors, or a coefficient too long
+to print (diagnostics on stderr).
 Every command runs serially in one process: a worker pool measured
 slower than serial on every corpus command.  ``verify`` and ``jacobi``
 still accept ``--jobs N`` and ignore it, because the benchmark's referee
@@ -22,6 +23,7 @@ from .algebra import (AlgebraError, BracketTable, DiscrepancyReport, NotEigenvec
                       triangular_split, verify_realization, weights)
 from .io import (ParseError, emit_definition, emit_extract_failure, emit_report, emit_table,
                  json_text, parse_definition)
+from .scalars import TooLongToPrint
 
 _FORMATS = ("text", "json", "latex")
 _JOBS_HELP = "accepted for compatibility and ignored: every check runs serially"
@@ -103,30 +105,25 @@ def _load_definition_file(path: str):
         raise CliError(f"{path}:{exc.line}:{exc.col}: {exc.reason}") from exc
 
 
-def _entry_table(entry, what: str) -> BracketTable:
-    if entry.kind != "table":
-        raise CliError(f"{what} is a {entry.kind} definition, expected a table")
-    return entry.payload["table"]
-
-
-def _entry_realization(entry, what: str) -> Realization:
-    if entry.kind not in ("d-module", "vector-field"):
-        raise CliError(f"{what} is a {entry.kind} definition, expected a realization")
-    return entry.payload["realization"]
+def _entry_payload(entry, what: str, key: str):
+    """entry.payload[key]: only a table holds "table", only a realization "realization"."""
+    if key not in entry.payload:
+        raise CliError(f"{what} is a {entry.kind} definition, expected a {key}")
+    return entry.payload[key]
 
 
 def _resolve_table_spec(spec: str) -> BracketTable:
     if "." in spec and not os.path.exists(spec):
         try:
-            return _entry_table(corpus.load(spec), spec)
+            return _entry_payload(corpus.load(spec), spec, "table")
         except corpus.UnknownId:
             pass
-    return _entry_table(_load_definition_file(spec), spec)
+    return _entry_payload(_load_definition_file(spec), spec, "table")
 
 
 def _resolve_verify(args) -> tuple[Realization, BracketTable, str]:
     if args.file:
-        real = _entry_realization(_load_definition_file(args.file), args.file)
+        real = _entry_payload(_load_definition_file(args.file), args.file, "realization")
         if not args.table:
             raise CliError("--file requires --table (corpus id or table file)")
         table = _resolve_table_spec(args.table)
@@ -170,7 +167,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_extract(args) -> int:
     if args.file:
-        real = _entry_realization(_load_definition_file(args.file), args.file)
+        real = _entry_payload(_load_definition_file(args.file), args.file, "realization")
     elif args.algebra and args.realization:
         real = corpus.load(f"{args.algebra}.{args.realization}").payload["realization"]
     else:
@@ -187,7 +184,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_jacobi(args) -> int:
     if args.file:
-        table = _entry_table(_load_definition_file(args.file), args.file)
+        table = _entry_payload(_load_definition_file(args.file), args.file, "table")
         subject = f"graded Jacobi on {args.file}"
     elif args.algebra:
         table = corpus.table(args.algebra, args.basis)
@@ -249,7 +246,7 @@ def _cmd_export(args) -> int:
     if args.format == "definition":
         sys.stdout.write(emit_definition(entry))
         return 0
-    table = _entry_table(entry, args.entry)
+    table = _entry_payload(entry, args.entry, "table")
     sys.stdout.write(emit_table(table, args.format))
     return 0
 
@@ -272,7 +269,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, corpus.UnknownId, ParseError) as exc:
+    except (CliError, corpus.UnknownId, ParseError, TooLongToPrint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

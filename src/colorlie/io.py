@@ -605,15 +605,11 @@ def parse_definition(text: str) -> CorpusEntry:
         old_basis = _parse_basis_lines(_require(named, "source-basis", kind))
         new_basis = _parse_basis_lines(_require(named, "basis", kind))
         old_labels = [label for label, _ in old_basis]
-        old_index = {label: k for k, label in enumerate(old_labels)}
         rows: dict[str, list[Scalar]] = {}
         for number, label, rhs, rhs_col in _assignments(_require(named, "combos", kind),
                                                         dict(new_basis), rows, "the new basis"):
             combo = parse_combination(rhs, old_labels, number, rhs_col)
-            row = [Scalar() for _ in old_labels]
-            for old_label, coeff in combo.items():
-                row[old_index[old_label]] = coeff
-            rows[label] = row
+            rows[label] = [combo.get(old, scalars.ZERO) for old in old_labels]
         missing = [label for label, _ in new_basis if label not in rows]
         if missing:
             raise ParseError(f"new basis elements without combos: {', '.join(missing)}", 1, 1)
@@ -771,6 +767,7 @@ def json_text(payload) -> str:
 
 def _constant_to_json(value: GaussianRational) -> list[dict]:
     """A table constant in the one-term form of a lam-polynomial."""
+    str(value)  # TooLongToPrint for a part that json.dumps could not write either
     re, im = value.re, value.im
     return [{"re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator], "lam": 0}]
 

@@ -6,6 +6,8 @@ presentations) whose coefficients are Gaussian rationals a + b*i.  All
 arithmetic is exact; equality means coefficient-by-coefficient identity.
 Scalars form a commutative ring -- division only exists for Gaussian
 rationals (constants), which is all the linear solver ever needs.
+A ``Scalar`` is a ``LinComb`` over lam exponents: sums, negation and
+scaling by a constant are the sparse core's, and only its product is its own.
 
 A Gaussian rational is one reduced int triple (a, b, d) meaning
 (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1: each value has one triple,
@@ -15,11 +17,12 @@ and each operation is int arithmetic and at most one ``math.gcd``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Union
 
-from .lincomb import Frozen, add_into, setslot, signed_sum, term_text
+from .lincomb import Frozen, LinComb, add_into, setslot, signed_sum, term_text
 RationalLike = Union[int, Fraction]
 
 
@@ -30,6 +33,10 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {value!r}")
+
+
+class TooLongToPrint(ValueError):
+    """A coefficient with more digits than the interpreter converts to text."""
 
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
@@ -75,21 +82,19 @@ class GaussianRational(Frozen):
     __radd__ = __add__
 
     def __sub__(self, other) -> GaussianRational:
-        a, b, d = self._abd
-        c, e, f = _as_gauss(other)._abd
-        if d == f:
-            return _reduced(a - c, b - e, d)
-        return _reduced(a * f - c * d, b * f - e * d, d * f)
+        return self + -_as_gauss(other)
 
     def __rsub__(self, other) -> GaussianRational:
         return _as_gauss(other) - self
 
     def __mul__(self, other) -> GaussianRational:
+        a, b, d = self._abd
+        if type(other) is int:  # the integer signs and combinatorial factors
+            return _reduced(a * other, b * other, d)
         if type(other) is not GaussianRational:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented  # so other.__rmul__ runs: an operator scales itself
             other = _as_gauss(other)
-        a, b, d = self._abd
         c, e, f = other._abd
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
@@ -127,10 +132,14 @@ class GaussianRational(Frozen):
 
     def __str__(self) -> str:
         re, im = self.re, self.im
-        if not im:
-            return str(re)
-        imag = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
-        return f"({signed_sum([str(re), imag])})" if re else imag
+        try:
+            if not im:
+                return str(re)
+            imag = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+            return f"({signed_sum([str(re), imag])})" if re else imag
+        except ValueError:  # str() of an int past the interpreter's digit limit
+            raise TooLongToPrint(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                                 "digits, too many to print") from None
 
 
 def _as_gauss(value) -> GaussianRational:
@@ -147,17 +156,18 @@ QI_I = GaussianRational(0, 1)
 def _scalar(terms: dict) -> Scalar:
     """The Scalar over a dict of int exponents >= 0 and nonzero GaussianRationals."""
     new = object.__new__(Scalar)
-    setslot(new, "_terms", terms)
+    setslot(new, "terms", terms)
     return new
 
 
-class Scalar(Frozen):
+class Scalar(LinComb):
     """A polynomial in ``lam`` with GaussianRational coefficients.
 
-    Internally a map {lam-exponent: nonzero coefficient}.  Immutable.
+    A LinComb over lam exponents, {lam-exponent: nonzero coefficient}, so
+    sums, negation and scaling are the core's.  Immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, GaussianRational] = ()):
         clean = {}
@@ -167,7 +177,9 @@ class Scalar(Frozen):
             coeff = _as_gauss(coeff)
             if coeff:
                 clean[exp] = coeff
-        setslot(self, "_terms", clean)
+        setslot(self, "terms", clean)
+
+    _like = staticmethod(_scalar)  # results of the core are built unchecked
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -181,28 +193,24 @@ class Scalar(Frozen):
     # -- access ---------------------------------------------------------------
     def items(self):
         """Iterate (exponent, coefficient) pairs, exponent ascending."""
-        return iter(sorted(self._terms.items()))
+        return iter(sorted(self.terms.items()))
 
     def coefficient(self, exp: int) -> GaussianRational:
-        return self._terms.get(exp, QI_ZERO)
+        return self.terms.get(exp, QI_ZERO)
 
     def lam_degree(self) -> int:
         """Largest lam exponent with nonzero coefficient; -1 for the zero scalar."""
-        return max(self._terms) if self._terms else -1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+        return max(self.terms) if self.terms else -1
 
     @property
     def is_lam_free(self) -> bool:
-        return all(exp == 0 for exp in self._terms)
+        return all(exp == 0 for exp in self.terms)
 
     def constant_value(self) -> GaussianRational:
         """The value of a lam-free scalar, as a Gaussian rational."""
         if not self.is_lam_free:
             raise ValueError(f"scalar {self} depends on lam")
-        return self._terms.get(0, QI_ZERO)
+        return self.terms.get(0, QI_ZERO)
 
     def eval_lam(self, value: RationalLike) -> GaussianRational:
         """Exact evaluation at lam = value, by Horner's rule."""
@@ -212,70 +220,52 @@ class Scalar(Frozen):
             total = total * point + self.coefficient(exp)
         return total
 
-    # -- ring operations ------------------------------------------------------
+    # -- ring operations: a constant is promoted, then the core adds ----------
     def __add__(self, other) -> Scalar:
-        if type(other) is not Scalar:
-            other = as_scalar(other)
-        terms = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            add_into(terms, exp, coeff)
-        return _scalar(terms)
+        return self._sum(as_scalar(other), False)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Scalar:
-        return self + (-as_scalar(other))
+        return self._sum(as_scalar(other), True)
 
     def __rsub__(self, other) -> Scalar:
-        return as_scalar(other) + (-self)
+        return as_scalar(other)._sum(self, True)
 
     def __mul__(self, other) -> Scalar:
-        if type(other) is int:  # the integer sign and combinatorial factors
-            if other == 1:
-                return self
-            if not other:
-                return ZERO
-            terms: dict[int, GaussianRational] = {}
-            for exp, coeff in self._terms.items():
-                a, b, d = coeff._abd
-                terms[exp] = _reduced(a * other, b * other, d)
-            return _scalar(terms)
         if type(other) is not Scalar:
             if not isinstance(other, (int, Fraction, GaussianRational)):
                 return NotImplemented  # so other.__rmul__ runs: an operator scales itself
-            other = as_scalar(other)
+            return self if other == 1 else self.scale(other)
         terms = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 add_into(terms, e1 + e2, c1 * c2)
         return _scalar(terms)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> Scalar:
-        return _scalar({exp: -coeff for exp, coeff in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = as_scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self._terms == other._terms
+        return self.terms == other.terms
 
     def __hash__(self):  # a lam-free value hashes as its constant, which may equal an int
         return hash(self.coefficient(0) if self.lam_degree() < 1 else frozenset(self.items()))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.terms)
 
     def __repr__(self) -> str:
-        return f"Scalar({self._terms!r})"
+        return f"Scalar({self.terms!r})"
 
     def __str__(self) -> str:
         def power(exp: int) -> list[str]:
             return [] if exp == 0 else ["lam"] if exp == 1 else [f"lam^{exp}"]
-        return signed_sum(term_text(str(self._terms[exp]), power(exp))
-                          for exp in sorted(self._terms, reverse=True))
+        return signed_sum(term_text(str(self.terms[exp]), power(exp))
+                          for exp in sorted(self.terms, reverse=True))
 
 
 def as_scalar(value) -> Scalar:

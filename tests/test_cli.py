@@ -201,6 +201,28 @@ def test_an_integer_past_the_digit_limit_is_a_parse_error(capsys, tmp_path):
     assert f"{bad}:9:7: 5000-digit integer is too long" in err
 
 
+BIG = DMODULE.replace("2*dt", "2^20000*dt")  # 6,021 digits, though no literal is long
+BIG_CLOSED = BIG.replace("  B (0,0)\n", "  B (0,0)\n  C (0,0)\n") + "  C = 1\n"
+TABLE_C = GOOD_TABLE.replace("  B (0,0)\n", "  B (0,0)\n  C (0,0)\n").replace("= -A", "= C")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+@pytest.mark.parametrize("argv", [
+    ["extract", "--file", "big.txt"],  # the closure failure's residual
+    ["extract", "--file", "closed.txt"],  # the extracted table
+    ["verify", "--file", "closed.txt", "--table", "table.txt"],  # the discrepancy
+], ids=["extract-residual", "extract-table", "verify-discrepancy"])
+def test_a_coefficient_past_the_digit_limit_is_an_error(capsys, tmp_path, monkeypatch, argv, fmt):
+    # str() of an int over 4,300 digits raises ValueError; each printer says so instead
+    for name, text in (("big.txt", BIG), ("closed.txt", BIG_CLOSED), ("table.txt", TABLE_C)):
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a coefficient has more than ")
+    assert err.endswith(" digits, too many to print\n")
+
+
 @pytest.mark.parametrize("suffix, accent", [("~", r"\tilde"), ("bar", r"\bar")],
                          ids=["tildes", "bars"])
 def test_a_long_chain_of_label_accents_prints_in_latex(capsys, tmp_path, suffix, accent):

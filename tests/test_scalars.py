@@ -216,8 +216,13 @@ def test_scalar_matches_pair_polynomials(p, q, k):
     assert scalar_pairs(sp + sq) == poly_add(p, q)
     assert scalar_pairs(sp * sq) == poly_mul(p, q)
     assert scalar_pairs(sp * k) == scalar_pairs(k * sp) == poly_mul(p, {0: (k, 0)})
+    minus_p, minus_q = poly_mul(p, {0: (-1, 0)}), poly_mul(q, {0: (-1, 0)})
+    assert scalar_pairs(-sp) == minus_p
+    assert scalar_pairs(sp - sq) == poly_add(p, minus_q)
+    assert scalar_pairs(k - sp) == poly_add({0: (k, 0)}, minus_p)
+    assert scalar_pairs(sp - k) == poly_add(p, {0: (-k, 0)})
     assert (sp == sq) == (p == q)
-    for value in (sp + sq, sp * sq, sp * k):
+    for value in (sp + sq, sp * sq, sp * k, -sp, sp - sq, k - sp, sp - k):
         for _, c in value.items():
             assert c
             assert_reduced(c)
