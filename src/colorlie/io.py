@@ -762,26 +762,24 @@ def _bracket_lines(table: BracketTable, comma: str):
 def json_text(payload) -> str:
     """The one JSON writer: two-space indent, sorted keys, a final newline."""
     import json  # loaded by the first run that writes JSON, not by every import
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    except ValueError:  # an int past the interpreter's digit limit
+        raise scalars.TooLongToPrint() from None
 
 
 def _constant_to_json(value: GaussianRational) -> list[dict]:
     """A table constant in the one-term form of a lam-polynomial."""
-    str(value)  # TooLongToPrint for a part that json.dumps could not write either
     re, im = value.re, value.im
     return [{"re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator], "lam": 0}]
 
 
 def table_to_dict(table: BracketTable) -> dict:
     basis = [{"label": label, "degree": [degree.a1, degree.a2]} for label, degree in table.basis]
-    brackets = []
-    for (i, j), entry in sorted(table.constants.items()):
-        brackets.append({
-            "left": table.basis[i][0],
-            "right": table.basis[j][0],
-            "value": [{"target": table.basis[target][0], "coeff": _constant_to_json(coeff)}
-                      for target, coeff in entry],
-        })
+    brackets = [{"left": table.basis[i][0], "right": table.basis[j][0],
+                 "value": [{"target": table.basis[target][0], "coeff": _constant_to_json(coeff)}
+                           for target, coeff in entry]}
+                for (i, j), entry in sorted(table.constants.items())]
     return {"basis": basis, "brackets": brackets}
 
 

@@ -38,6 +38,9 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
 class TooLongToPrint(ValueError):
     """A coefficient with more digits than the interpreter converts to text."""
 
+    def __init__(self):
+        super().__init__(f"a coefficient has more than {sys.get_int_max_str_digits()} digits, too many to print")
+
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
     """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
@@ -138,8 +141,7 @@ class GaussianRational(Frozen):
             imag = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
             return f"({signed_sum([str(re), imag])})" if re else imag
         except ValueError:  # str() of an int past the interpreter's digit limit
-            raise TooLongToPrint(f"a coefficient has more than {sys.get_int_max_str_digits()} "
-                                 "digits, too many to print") from None
+            raise TooLongToPrint() from None
 
 
 def _as_gauss(value) -> GaussianRational:
