@@ -248,14 +248,20 @@ class Realization:
         """New operators new_i = sum_j matrix[i][j] * old_j."""
         ops = {}
         for (label, _), row in zip(new_basis, _transform_rows(self.basis, new_basis, matrix)[0]):
-            total = None
-            for j, c in row.items():
-                piece = self.ops[self.basis[j][0]].scale(c)
-                total = piece if total is None else total + piece
+            olds = [(self.ops[self.basis[j][0]], c) for j, c in row.items()]
+            total = _combine(olds[0][0]._like({}), olds)
             if total.is_zero:  # the operators themselves may be dependent
                 raise SingularTransform(f"new basis element {label} is the zero combination")
             ops[label] = total
         return Realization(new_basis, ops)
+
+
+def _combine(total, pairs):
+    """total + sum c * op over (op, lam-free c) pairs, in one dict, of total's kind and degree."""
+    terms = dict(total.terms)
+    for op, c in pairs:
+        add_scaled(terms, c, op.terms.items())
+    return total._like(terms)
 
 
 def _transform_rows(old_basis, new_basis, matrix) -> tuple[list[dict[int, GaussianRational]], ColumnSolver]:
@@ -406,10 +412,9 @@ def extract_structure_constants(real: Realization) -> BracketTable:
             bracket = ops[i].bracket(ops[j])
             target = bracket.coordinate_vector()
             coeffs, residual = solver.solve(target)
-            if residual:
-                for k, c in coeffs.items():  # bracket - sum c_k op_k, whatever their degrees
-                    bracket -= ops[k].scale(c).with_degree(bracket.degree)
-                _diagnose_failure((labels[i], labels[j]), columns, target, str(bracket))
+            if residual:  # bracket - sum c_k op_k, whatever their degrees
+                rest = _combine(bracket, ((ops[k], -c) for k, c in coeffs.items()))
+                _diagnose_failure((labels[i], labels[j]), columns, target, str(rest))
             degree = real.basis[i][1] + real.basis[j][1]
             for k in coeffs:  # ascending, so the first wrong-degree target in basis order
                 if real.basis[k][1] != degree:
@@ -446,13 +451,11 @@ def triangular_split(weight_map: Mapping[str, tuple[GaussianRational, ...]]) -> 
     for label, row in weight_map.items():
         bucket = "zero"
         for value in row:
-            if value.im:
+            (re, _), (im, _) = value.parts()
+            if im:
                 raise ValueError(f"weight {value} of {label} is not real")
-            if value.re > 0:
-                bucket = "positive"
-                break
-            if value.re < 0:
-                bucket = "negative"
+            if re:
+                bucket = "positive" if re > 0 else "negative"
                 break
         split[bucket].append(label)
     return split
@@ -469,11 +472,7 @@ def verify_realization(real: Realization, table: BracketTable) -> DiscrepancyRep
     for i, j in pairs:
         computed = real.op(labels[i]).bracket(real.op(labels[j]))
         entry = table.constants.get((i, j), ())
-        expected = None
-        for target, coeff in entry:
-            piece = real.op(labels[target]).scale(coeff)
-            expected = piece if expected is None else expected + piece
-        residual = computed if expected is None else computed - expected
+        residual = _combine(computed, ((real.op(labels[target]), -coeff) for target, coeff in entry))
         if not residual.is_zero:
             entries.append(Discrepancy(
                 "bracket", (labels[i], labels[j]),

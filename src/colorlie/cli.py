@@ -7,7 +7,7 @@ Every command runs serially in one process: a worker pool measured
 slower than serial on every corpus command.  ``verify`` and ``jacobi``
 still accept ``--jobs N`` and ignore it, because the benchmark's referee
 workload still passes it.  ``json`` is imported only when a report is
-written as JSON.
+written as JSON; ``fractions``, ``decimal`` and ``pkgutil`` by no run.
 """
 
 from __future__ import annotations

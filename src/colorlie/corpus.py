@@ -25,7 +25,7 @@ Entry kinds per algebra:
 
 from __future__ import annotations
 
-import pkgutil
+import os
 from functools import lru_cache
 
 from .algebra import BracketTable, Realization, change_basis
@@ -76,8 +76,9 @@ def ids() -> tuple[str, ...]:
     return tuple(sorted((*_FILES, *_DERIVED)))
 
 
-def _read_text(name: str) -> str:
-    return pkgutil.get_data(__package__, f"defs/{name}").decode("utf-8")
+def _read_text(name: str) -> str:  # defs/ lies next to this file, checked out or installed
+    with open(os.path.join(os.path.dirname(__file__), "defs", name), "rb") as handle:
+        return handle.read().decode("utf-8")
 
 
 @lru_cache(maxsize=None)

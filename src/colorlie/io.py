@@ -41,7 +41,6 @@ every kind may also hold `notes:`.  Lines starting with `#` are comments.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .grading import Degree, koszul_sign
@@ -266,7 +265,7 @@ class _ExprParser:
             denom = self.expect_int("expected an integer denominator")
             if denom.value == 0:
                 raise ParseError("division by zero", denom.line, denom.col)
-            return as_scalar(Fraction(token.value, denom.value))
+            return scalars.rational(token.value, denom.value)
         if token.kind == "ident":
             # "e" and "D" are keywords only when immediately applied to "(";
             # otherwise they are ordinary names (D is a common basis label).
@@ -770,8 +769,8 @@ def json_text(payload) -> str:
 
 def _constant_to_json(value: GaussianRational) -> list[dict]:
     """A table constant in the one-term form of a lam-polynomial."""
-    re, im = value.re, value.im
-    return [{"re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator], "lam": 0}]
+    re, im = value.parts()
+    return [{"re": list(re), "im": list(im), "lam": 0}]
 
 
 def table_to_dict(table: BracketTable) -> dict:

@@ -130,9 +130,8 @@ class LinComb(Frozen):
     def __neg__(self):
         return self._like({key: -coeff for key, coeff in self.terms.items()})
 
-    def scale(self, factor):
-        return self._like({key: product for key, coeff in self.terms.items()
-                           if (product := coeff * factor)})
+    def scale(self, factor):  # Q(i)[lam] has no zero divisors: only a zero factor cancels terms
+        return self._like({key: coeff * factor for key, coeff in self.terms.items()} if factor else {})
 
     def __rmul__(self, other):
         # scalar * element; element * element goes through __mul__

@@ -11,28 +11,34 @@ scaling by a constant are the sparse core's, and only its product is its own.
 
 A Gaussian rational is one reduced int triple (a, b, d) meaning
 (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1: each value has one triple,
-and each operation is int arithmetic and at most one ``math.gcd``.
-``Fraction`` appears only where ``re``/``im`` are read or rationals come in.
+and each operation is int arithmetic and at most one ``math.gcd``.  It is
+read, printed and written from the triple; ``fractions`` is imported only
+on first use of ``re``, ``im``, ``repr`` or the hash of a non-integer real.
 """
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import gcd
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .lincomb import Frozen, LinComb, add_into, setslot, signed_sum, term_text
-RationalLike = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+RationalLike = Union[int, "Fraction"]
+
+
+def _is_rational(value) -> bool:
+    """An int or a Fraction, told without importing ``numbers``: floats and Decimals have
+    no int numerator and denominator."""
+    return type(getattr(value, "numerator", None)) is type(getattr(value, "denominator", None)) is int
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
     """(numerator, denominator) of an exact rational, lowest terms."""
-    if isinstance(value, int):
-        return int(value), 1
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    raise TypeError(f"expected an exact rational, got {value!r}")
+    if not _is_rational(value):
+        raise TypeError(f"expected an exact rational, got {value!r}")
+    return value.numerator, value.denominator
 
 
 class TooLongToPrint(ValueError):
@@ -62,12 +68,20 @@ class GaussianRational(Frozen):
         # both parts are in lowest terms, so the triple over lcm(q, s) is reduced
         setslot(self, "_abd", (a * (d // q), b * (d // s), d))
 
+    def parts(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """((re numerator, re denominator), (im numerator, im denominator)), lowest terms."""
+        a, b, d = self._abd
+        g, h = gcd(a, d), gcd(b, d)
+        return (a // g, d // g), (b // h, d // h)
+
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._abd[0], self._abd[2])
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._abd[1], self._abd[2])
 
     # bench/workloads.py reads table entries with c.constant_value(), as when they were Scalars
@@ -95,7 +109,7 @@ class GaussianRational(Frozen):
         if type(other) is int:  # the integer signs and combinatorial factors
             return _reduced(a * other, b * other, d)
         if type(other) is not GaussianRational:
-            if not isinstance(other, (int, Fraction)):
+            if not _is_rational(other):
                 return NotImplemented  # so other.__rmul__ runs: an operator scales itself
             other = _as_gauss(other)
         c, e, f = other._abd
@@ -121,27 +135,27 @@ class GaussianRational(Frozen):
 
     def __eq__(self, other) -> bool:
         if type(other) is not GaussianRational:
-            if not isinstance(other, (int, Fraction)):
+            if not _is_rational(other):
                 return NotImplemented
             other = _as_gauss(other)
         return self._abd == other._abd
 
     def __hash__(self):
         a, b, d = self._abd  # a real value hashes as the int or Fraction it equals
-        return hash(self._abd) if b else hash(a) if d == 1 else hash(Fraction(a, d))
+        return hash(self._abd) if b else hash(a) if d == 1 else hash(self.re)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        try:
-            if not im:
-                return str(re)
-            imag = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
-            return f"({signed_sum([str(re), imag])})" if re else imag
+        try:  # each part as Fraction prints it
+            re, im = (str(num) if den == 1 else f"{num}/{den}" for num, den in self.parts())
         except ValueError:  # str() of an int past the interpreter's digit limit
             raise TooLongToPrint() from None
+        if im == "0":
+            return re
+        imag = "i" if im == "1" else "-i" if im == "-1" else f"{im}*i"
+        return f"({signed_sum([re, imag])})" if re != "0" else imag
 
 
 def _as_gauss(value) -> GaussianRational:
@@ -236,7 +250,7 @@ class Scalar(LinComb):
 
     def __mul__(self, other) -> Scalar:
         if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction, GaussianRational)):
+            if type(other) is not GaussianRational and not _is_rational(other):
                 return NotImplemented  # so other.__rmul__ runs: an operator scales itself
             return self if other == 1 else self.scale(other)
         terms = {}
@@ -248,7 +262,7 @@ class Scalar(LinComb):
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, GaussianRational) or _is_rational(other):
             other = as_scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -274,15 +288,15 @@ def as_scalar(value) -> Scalar:
     """Promote ints, Fractions, and GaussianRationals to Scalar."""
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
+    if isinstance(value, GaussianRational) or _is_rational(value):
         coeff = _as_gauss(value)
         return _scalar({0: coeff} if coeff else {})
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
 def rational(num: int, den: int = 1) -> Scalar:
-    """The constant scalar num/den."""
-    return Scalar.constant(Fraction(num, den))
+    """The constant scalar num/den of two ints; den == 0 raises ZeroDivisionError."""
+    return as_scalar(GaussianRational(num) / den)
 
 
 ZERO = Scalar()

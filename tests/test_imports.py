@@ -3,7 +3,10 @@
 Each check is a short process of its own, so module imports are a fixed
 cost of every run.  ``dataclasses`` (with ``inspect``), ``multiprocessing``
 and ``json`` are not needed by a run that writes text; JSON is imported
-only by ``--format json``, and no run starts a worker pool.
+only by ``--format json``, and no run starts a worker pool.  No run needs
+``fractions`` (nor ``decimal``, which it imports): constants are read,
+printed and written from their int triples.  Nor ``pkgutil``: the corpus
+opens its definition files by path.
 The check names modules; it never times anything.
 """
 
@@ -15,7 +18,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-UNUSED = ("dataclasses", "inspect", "multiprocessing", "json")
+UNUSED = ("dataclasses", "inspect", "multiprocessing", "json", "fractions", "decimal", "pkgutil")
 
 CHILD = """
 import contextlib, io, sys
@@ -46,6 +49,16 @@ def test_json_and_pool_load_only_when_used():
     code, out, loaded = run_child("jacobi", "--algebra", "n1", "--format", "json", "--jobs", "2")
     assert code == 0 and json.loads(out)["checked"] == 13 ** 3
     assert loaded == ["json"]
+
+
+def test_constants_are_written_and_split_without_fractions():
+    code, out, loaded = run_child("export", "--entry", "g22.table", "--format", "json")
+    constants = [c for b in json.loads(out)["brackets"] for v in b["value"] for c in v["coeff"]]
+    assert code == 0 and len(constants) == 133 and any(c["re"][1] != 1 for c in constants)
+    assert loaded == ["json"]
+    code, out, loaded = run_child("split", "--algebra", "g22")
+    assert code == 0 and out.splitlines()[2] == "  zero: D Rbar"
+    assert loaded == []
 
 
 def test_algebra_imports_nothing_from_io():

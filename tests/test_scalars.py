@@ -1,5 +1,6 @@
 """Exact scalar ring: Gaussian rationals and lam-polynomials."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -272,3 +273,29 @@ def test_floats_are_rejected():
         GaussianRational(1, 0.5)
     with pytest.raises(TypeError):
         GaussianRational(1) * 0.5
+
+
+# -- reading, printing and hashing from the triple, against Fraction --------
+
+big = st.integers(min_value=-10**40, max_value=10**40)
+positive = st.integers(min_value=1, max_value=10**20)
+
+
+@given(big, big, positive, big, positive.map(lambda n: -n))
+def test_triple_reads_prints_and_hashes_as_fractions(a, b, d, p, q):
+    re, im = Fraction(a, d), Fraction(b, d)
+    value = GaussianRational(re, im)
+    assert value.parts() == ((re.numerator, re.denominator), (im.numerator, im.denominator))
+    assert (value.re, value.im) == (re, im) and type(value.re) is type(value.im) is Fraction
+    assert str(value) == pair_str((re, im))
+    assert hash(GaussianRational(re)) == hash(re) and hash(GaussianRational(im)) == hash(im)
+    assert rational(p, q) == rational(-p, -q) == Fraction(p, q)
+    assert_reduced(rational(p, q).constant_value())
+    with pytest.raises(ZeroDivisionError):
+        rational(p, 0)
+    for inexact in (float(re), Decimal(a) / Decimal(d)):
+        for refused in (GaussianRational, Scalar.constant, as_scalar,
+                        lambda x: value * x, lambda x: Scalar.constant(value) * x):
+            with pytest.raises(TypeError):
+                refused(inexact)
+
