@@ -2,19 +2,19 @@
 
 Exit codes: 0 all checks passed, 1 discrepancies or failures found
 (report on stdout), 2 usage or parse errors, or a coefficient too long
-to print (diagnostics on stderr).
-Every command runs serially in one process: a worker pool measured
-slower than serial on every corpus command.  ``verify`` and ``jacobi``
-still accept ``--jobs N`` and ignore it, because the benchmark's referee
-workload still passes it.  ``json`` is imported only when a report is
-written as JSON; ``fractions``, ``decimal`` and ``pkgutil`` by no run.
+to print (diagnostics on stderr).  Every command runs serially in one
+process; ``verify`` and ``jacobi`` accept ``--jobs N`` and ignore it.
+The _SPEC table drives parsing, the usage line and ``--help``, whose text
+has a fixed width.  So no run imports ``argparse``, nor the ``gettext``,
+``locale`` and ``shutil`` it loads; ``json`` is imported only when a report
+is written as JSON; ``fractions``, ``decimal`` and ``pkgutil`` by no run.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import Sequence, Union
 
 from . import corpus
@@ -25,72 +25,88 @@ from .io import (ParseError, emit_definition, emit_extract_failure, emit_report,
                  json_text, parse_definition)
 from .scalars import TooLongToPrint
 
-_FORMATS = ("text", "json", "latex")
-_JOBS_HELP = "accepted for compatibility and ignored: every check runs serially"
+_REQUIRED = object()  # the default of an option that must be given
+_HELP = {"-h": None, "--help": None}  # flags with no option tuple: they print the help
 
 
 class CliError(Exception):
     """Usage-level failure mapped to exit code 2."""
 
 
-def _positive_jobs(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid jobs count {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("jobs must be >= 1")
-    return value
+def _shown(option) -> str:
+    flag, kind = option[:2]
+    return f"{flag} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{flag} {kind}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="colorlie",
-        description="Exact checks for the graded algebras shipped in the corpus.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: colorlie [-h] {{{','.join(_SPEC)}}} ..."
+    return " ".join([f"usage: colorlie {command} [-h]"] + [
+        _shown(o) if o[2] is _REQUIRED else f"[{_shown(o)}]" for o in _SPEC[command][2]])
 
-    def add_source(p, realizations=True):
-        p.add_argument("--algebra", choices=corpus.ALGEBRAS,
-                       help="corpus algebra id")
-        if realizations:
-            p.add_argument("--realization", choices=("dmodule", "vectorfield"),
-                           help="which corpus realization to use")
-        p.add_argument("--file", help="definition file to use instead of the corpus")
 
-    verify = sub.add_parser("verify", help="replay a realization against a table")
-    add_source(verify)
-    verify.add_argument("--table", help="table to check against: corpus id "
-                                        "(contains a dot) or definition file path; "
-                                        "defaults to the corpus table for corpus realizations")
-    verify.add_argument("--format", choices=_FORMATS, default="text")
-    verify.add_argument("--jobs", type=_positive_jobs, default=1, help=_JOBS_HELP)
+def _help_text(command) -> str:
+    """Usage, description and one line per command or option, whatever the terminal width."""
+    rows = [("-h, --help", "show this help message and exit")] + (
+        [(_shown(o), o[3]) for o in _SPEC[command][2]] if command
+        else [(c, h) for c, (_, h, _) in _SPEC.items()])
+    width = max(len(name) for name, _ in rows)
+    return "\n".join([_usage(command), "", _SPEC[command][1] if command else
+                      "Exact checks for the graded algebras shipped in the corpus.", ""] +
+                     [f"  {name.ljust(width)}  {text}" for name, text in rows]) + "\n"
 
-    extract = sub.add_parser("extract", help="re-derive structure constants from a realization")
-    add_source(extract)
-    extract.add_argument("--format", choices=_FORMATS, default="text")
 
-    jacobi = sub.add_parser("jacobi", help="check the graded Jacobi identity on a table")
-    jacobi.add_argument("--algebra", choices=corpus.ALGEBRAS)
-    jacobi.add_argument("--basis", choices=("standard", "pm"), default="standard")
-    jacobi.add_argument("--file", help="table definition file instead of the corpus")
-    jacobi.add_argument("--format", choices=_FORMATS, default="text")
-    jacobi.add_argument("--jobs", type=_positive_jobs, default=1, help=_JOBS_HELP)
+def _flag(arg: str, flags, command) -> Union[str, None]:
+    """The flag arg names, in full or as the unique prefix of a long flag, else None."""
+    name = arg.partition("=")[0]
+    matches = [name] if name in flags else [f for f in flags if name[2:] and f.startswith(name)]
+    if len(matches) > 1:
+        raise CliError(f"ambiguous option {name}: {' or '.join(matches)}\n{_usage(command)}")
+    return matches[0] if matches else None
 
-    weights_p = sub.add_parser("weights", help="grading-operator eigenvalues per basis element")
-    weights_p.add_argument("--algebra", choices=corpus.ALGEBRAS, required=True)
-    weights_p.add_argument("--format", choices=("text", "json"), default="text")
 
-    split = sub.add_parser("split", help="triangular split by weight signs")
-    split.add_argument("--algebra", choices=corpus.ALGEBRAS, required=True)
-    split.add_argument("--format", choices=("text", "json"), default="text")
+def parse_args(argv: Sequence[str]) -> Union[SimpleNamespace, str]:
+    """The command and its option values as _SPEC reads them, or the help text for -h.
 
-    export = sub.add_parser("export", help="print a corpus entry in an interchange format")
-    export.add_argument("--entry", required=True,
-                        help="corpus entry id such as g22.table; an unknown id "
-                             "prints the known ones")
-    export.add_argument("--format", choices=("definition", "text", "json", "latex"),
-                        default="definition")
-    return parser
+    As in argparse, an ambiguous prefix anywhere is an error; then options are read left
+    to right; a missing or an unrecognized argument is an error only at the end.  Each
+    error raises CliError, ending in the usage line.
+    """
+    if not argv or argv[0] not in _SPEC:
+        if argv and _flag(argv[0], _HELP, None):
+            return _help_text(None)
+        reason = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise CliError(f"{reason} (choose from {', '.join(_SPEC)})\n{_usage(None)}")
+    command = argv[0]
+    flags = {**_HELP, **{option[0]: option for option in _SPEC[command][2]}}
+    values = {flag[2:]: option[2] for flag, option in flags.items() if option}
+    unknown, rest = [], iter([(arg, _flag(arg, flags, command)) for arg in argv[1:]])
+    for arg, flag in rest:
+        if not flag:
+            unknown.append(arg)
+            continue
+        if not flags[flag]:
+            return _help_text(command)
+        _, kind, default, _ = flags[flag]
+        value, after = (arg.partition("=")[2], None) if "=" in arg else next(rest, (None, None))
+        # as in argparse, "-", a negative number and a text with a space are values
+        if value is None or after or ("=" not in arg and value[:1] == "-" and value != "-"
+                                      and " " not in value and not value[1:].isdigit()):
+            problem = "expected one argument"
+        elif isinstance(kind, tuple) and value not in kind:
+            problem = f"invalid choice {value!r} (choose from {', '.join(kind)})"
+        elif isinstance(default, int) and not (
+                value.strip().removeprefix("+").isdecimal() and int(value) >= 1):
+            problem = f"{value!r} is not an integer >= 1"
+        else:
+            values[flag[2:]] = int(value) if isinstance(default, int) else value
+            continue
+        raise CliError(f"argument {flag}: {problem}\n{_usage(command)}")
+    missing = ", ".join(f"--{dest}" for dest, value in values.items() if value is _REQUIRED)
+    if missing or unknown:
+        raise CliError((f"the following arguments are required: {missing}" if missing else
+                        f"unrecognized arguments: {' '.join(unknown)}") + f"\n{_usage(command)}")
+    return SimpleNamespace(command=command, **values)
 
 
 def _load_definition_file(path: str):
@@ -251,24 +267,41 @@ def _cmd_export(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "extract": _cmd_extract,
-    "jacobi": _cmd_jacobi,
-    "weights": _cmd_weights,
-    "split": _cmd_split,
-    "export": _cmd_export,
+_ALGEBRA = ("--algebra", corpus.ALGEBRAS, None, "corpus algebra id")
+_REALIZATION = ("--realization", ("dmodule", "vectorfield"), None, "corpus realization to use")
+_SOURCE = (_ALGEBRA, _REALIZATION, ("--file", "FILE", None, "realization definition file"))
+_FORMAT = ("--format", ("text", "json", "latex"), "text", "report format")
+_JOBS = ("--jobs", "JOBS", 1, "accepted for compatibility and ignored: every check runs serially")
+_GRADED = (("--algebra", corpus.ALGEBRAS, _REQUIRED, "corpus algebra id"),
+           ("--format", ("text", "json"), "text", "report format"))
+# command: (function, help, options).  An option is (flag, its choices (a tuple) or
+# metavar, its default or _REQUIRED, help); an int default makes its value an integer >= 1.
+_SPEC = {
+    "verify": (_cmd_verify, "replay a realization against a table", _SOURCE + (
+        ("--table", "TABLE", None, "table to check against: corpus id (contains a dot) or "
+         "definition file path; defaults to the corpus table for corpus realizations"),
+        _FORMAT, _JOBS)),
+    "extract": (_cmd_extract, "re-derive structure constants from a realization",
+                _SOURCE + (_FORMAT,)),
+    "jacobi": (_cmd_jacobi, "check the graded Jacobi identity on a table", (
+        _ALGEBRA, ("--basis", ("standard", "pm"), "standard", "basis of the corpus table"),
+        ("--file", "FILE", None, "table definition file instead of the corpus"), _FORMAT, _JOBS)),
+    "weights": (_cmd_weights, "grading-operator eigenvalues per basis element", _GRADED),
+    "split": (_cmd_split, "triangular split by weight signs", _GRADED),
+    "export": (_cmd_export, "print a corpus entry in an interchange format", (
+        ("--entry", "ENTRY", _REQUIRED, "corpus entry id such as g22.table; an unknown id "
+         "prints the known ones"),
+        ("--format", ("definition", "text", "json", "latex"), "definition", "output format"))),
 }
 
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return 0
+        return _SPEC[args.command][0](args)
     except (CliError, corpus.UnknownId, ParseError, TooLongToPrint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

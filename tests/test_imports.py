@@ -6,7 +6,9 @@ and ``json`` are not needed by a run that writes text; JSON is imported
 only by ``--format json``, and no run starts a worker pool.  No run needs
 ``fractions`` (nor ``decimal``, which it imports): constants are read,
 printed and written from their int triples.  Nor ``pkgutil``: the corpus
-opens its definition files by path.
+opens its definition files by path.  Nor ``argparse``, with the ``gettext``,
+``locale`` and ``shutil`` it loads to build a parser: the command line is read
+from a table, and ``--help`` has a fixed width.
 The check names modules; it never times anything.
 """
 
@@ -18,7 +20,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-UNUSED = ("dataclasses", "inspect", "multiprocessing", "json", "fractions", "decimal", "pkgutil")
+UNUSED = ("dataclasses", "inspect", "multiprocessing", "json", "fractions", "decimal", "pkgutil",
+          "argparse", "gettext", "locale", "shutil")
 
 CHILD = """
 import contextlib, io, sys
@@ -58,6 +61,12 @@ def test_constants_are_written_and_split_without_fractions():
     assert loaded == ["json"]
     code, out, loaded = run_child("split", "--algebra", "g22")
     assert code == 0 and out.splitlines()[2] == "  zero: D Rbar"
+    assert loaded == []
+
+
+def test_help_loads_no_parser_module():
+    code, out, loaded = run_child("verify", "--help")
+    assert code == 0 and out.startswith("usage: colorlie verify [-h]")
     assert loaded == []
 
 
