@@ -137,23 +137,27 @@ def _resolve_table_spec(spec: str) -> BracketTable:
     return _entry_payload(_load_definition_file(spec), spec, "table")
 
 
-def _resolve_verify(args) -> tuple[Realization, BracketTable, str]:
+def _resolve_realization(args, command: str) -> tuple[Realization, str]:
+    """The realization of --file, or of --algebra and --realization, and its name."""
     if args.file:
-        real = _entry_payload(_load_definition_file(args.file), args.file, "realization")
-        if not args.table:
-            raise CliError("--file requires --table (corpus id or table file)")
+        return _entry_payload(_load_definition_file(args.file), args.file, "realization"), args.file
+    if args.algebra and args.realization:
+        real = corpus.load(f"{args.algebra}.{args.realization}").payload["realization"]
+        return real, f"{args.algebra} {args.realization}"
+    raise CliError(f"{command} needs --algebra and --realization, or --file")
+
+
+def _resolve_verify(args) -> tuple[Realization, BracketTable, str]:
+    real, name = _resolve_realization(args, "verify")
+    if args.table:
         table = _resolve_table_spec(args.table)
-        subject = f"{args.file} vs {args.table}"
-    elif args.algebra and args.realization:
-        real, table = corpus.realization(args.algebra, args.realization)
-        if args.table:
-            table = _resolve_table_spec(args.table)
-            subject = f"{args.algebra} {args.realization} vs {args.table}"
-        else:
-            basis = corpus.realization_basis(args.algebra, args.realization)
-            subject = f"{args.algebra} {args.realization} vs {args.algebra} table ({basis})"
+        subject = f"{name} vs {args.table}"
+    elif args.file:
+        raise CliError("--file requires --table (corpus id or table file)")
     else:
-        raise CliError("verify needs --algebra and --realization, or --file")
+        basis = corpus.realization_basis(args.algebra, args.realization)
+        table = corpus.table(args.algebra, basis)
+        subject = f"{name} vs {args.algebra} table ({basis})"
     if real.basis != table.basis:
         raise CliError("realization and table declare different bases")
     return real, table, subject
@@ -161,15 +165,14 @@ def _resolve_verify(args) -> tuple[Realization, BracketTable, str]:
 
 # _verify_chunk and _jacobi_chunk keep their names and one-payload signature
 # because bench/tracer.py wraps them by name (CHUNKS) and calls fn(payload).
-# The payloads are (realization, table) and (table, triples or None).
+# The payloads are (realization, table) and the table.
 def _verify_chunk(payload) -> DiscrepancyReport:
     real, table = payload
     return verify_realization(real, table)
 
 
-def _jacobi_chunk(payload) -> DiscrepancyReport:
-    table, triples = payload
-    return check_jacobi(table, triples)
+def _jacobi_chunk(table) -> DiscrepancyReport:
+    return check_jacobi(table)
 
 
 def _cmd_verify(args) -> int:
@@ -182,16 +185,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    if args.file:
-        real = _entry_payload(_load_definition_file(args.file), args.file, "realization")
-    elif args.algebra and args.realization:
-        real = corpus.load(f"{args.algebra}.{args.realization}").payload["realization"]
-    else:
-        raise CliError("extract needs --algebra and --realization, or --file")
+    real, subject = _resolve_realization(args, "extract")
     try:
         table = extract_structure_constants(real)
     except AlgebraError as exc:  # no closure, dependent basis, lam or degree trouble
-        subject = args.file or f"{args.algebra} {args.realization}"
         sys.stdout.write(emit_extract_failure(subject, exc, args.format))
         return 1
     sys.stdout.write(emit_table(table, args.format))
@@ -207,7 +204,7 @@ def _cmd_jacobi(args) -> int:
         subject = f"graded Jacobi on {args.algebra} table ({args.basis})"
     else:
         raise CliError("jacobi needs --algebra or --file")
-    report = _jacobi_chunk((table, None))._replace(subject=subject)
+    report = _jacobi_chunk(table)._replace(subject=subject)
     sys.stdout.write(emit_report(report, args.format, f"{report.checked} triples", "failures"))
     return 0 if report.ok else 1
 

@@ -45,7 +45,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 from .grading import Degree, koszul_sign
 from .lincomb import LinComb, signed_sum, term_text
-from .scalars import GaussianRational, Scalar, as_scalar
+from .scalars import GaussianRational, LamKeyed, Scalar, as_scalar
 from . import matop, scalars, vecfield, weyl
 from .algebra import AlgebraError, BadEntry, BracketTable, DiscrepancyReport, Realization
 from .grassmann import VarContext
@@ -119,7 +119,6 @@ _MATRIX_ATOMS = {name: matop.scalar_op(base)
 #: "e" or "D", which are keywords only before "(" and so stay usable as labels
 _RESERVED_LABELS = frozenset(_CONSTANTS).union(_MATRIX_ATOMS)
 RESERVED = _RESERVED_LABELS | {"e", "D"}
-_OPERATORS = (MatDiffOp, GradedDiffOp)
 #: deepest parenthesis nesting (the corpus uses 3); keeps the recursion shallow
 _MAX_NESTING = 64
 
@@ -139,9 +138,9 @@ class _Labels(LinComb):
 
 
 def _add(left, right, at: Token):
-    if isinstance(left, Scalar) and isinstance(right, _OPERATORS):
+    if isinstance(left, Scalar) and isinstance(right, LamKeyed):
         left = _promote(left, getattr(right, "ctx", None))
-    elif isinstance(right, Scalar) and isinstance(left, _OPERATORS):
+    elif isinstance(right, Scalar) and isinstance(left, LamKeyed):
         right = _promote(right, getattr(left, "ctx", None))
     if type(left) is not type(right):
         if isinstance(left, _Labels) or isinstance(right, _Labels):
@@ -329,7 +328,7 @@ class _ExprParser:
             return vecfield.multiplier(self.ctx.poly(name))
         if name in self.defs:
             value = self.defs[name]
-            return value if isinstance(value, _OPERATORS) else as_scalar(value)
+            return value if isinstance(value, LamKeyed) else as_scalar(value)
         raise ParseError(f"unknown identifier {name!r}", at.line, at.col)
 
 

@@ -2,10 +2,11 @@
 
 Weyl and matrix operators, graded polynomials and vector fields, table
 entries, residuals and lam-polynomials are all finite sums held as a dict
-{key: nonzero coefficient}: a Scalar in Weyl operators, polynomials and
-vector fields, a Gaussian rational elsewhere (matrix operator keys end in
-the lam exponent).  ``Scalar`` is itself a ``LinComb`` over lam exponents
-with Gaussian-rational coefficients.  This module owns what they share:
+{key: nonzero coefficient}: a Scalar in Weyl operators and polynomials, a
+Gaussian rational elsewhere (matrix operator and vector field keys end in
+the lam exponent: ``scalars.LamKeyed``).  ``Scalar`` is itself a ``LinComb``
+over lam exponents with Gaussian-rational coefficients.  This module owns
+what they share:
 
 * ``add_into`` -- the one accumulate-and-drop-zero step, and ``add_scaled``,
   which accumulates a multiple of (key, value) pairs with it;

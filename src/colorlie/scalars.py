@@ -8,6 +8,7 @@ Scalars form a commutative ring -- division only exists for Gaussian
 rationals (constants), which is all the linear solver ever needs.
 A ``Scalar`` is a ``LinComb`` over lam exponents: sums, negation and
 scaling by a constant are the sparse core's, and only its product is its own.
+An operator (``LamKeyed``) splits each Scalar coefficient over its keys.
 
 A Gaussian rational is one reduced int triple (a, b, d) meaning
 (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1: each value has one triple,
@@ -304,3 +305,37 @@ ONE = Scalar.constant(1)
 I = Scalar.constant(QI_I)
 LAM = Scalar.lam_power(1)
 HALF = rational(1, 2)
+
+
+class LamKeyed(LinComb):
+    """An operator of declared degree, {(key..., lam exponent): nonzero GaussianRational}:
+    lam is central, so it is one more exponent, and the terms are the solver's coordinates.
+    Only equal degrees add, as a sum must be homogeneous; zero takes any degree."""
+
+    __slots__ = ()
+
+    def _check(self, other) -> None:
+        if self.terms and other.terms and self.degree != other.degree:
+            raise ValueError(f"cannot add operators of degrees {self.degree} and {other.degree}")
+
+    def scale(self, factor):
+        """factor * self; a lam-dependent factor shifts the lam exponents."""
+        terms: dict = {}
+        for fexp, fvalue in as_scalar(factor).items():
+            for (*key, exp), value in self.terms.items():
+                add_into(terms, (*key, exp + fexp), value * fvalue)
+        return self._like(terms)
+
+    def coordinate_vector(self) -> dict:
+        """The terms, (key..., lam exponent) -> GaussianRational: read only."""
+        return self.terms
+
+    def scalar_terms(self) -> dict:
+        """{key: Scalar}, keys ascending: the terms with their lam exponents regrouped."""
+        grouped: dict = {}
+        for (*key, exp), value in sorted(self.terms.items()):
+            grouped.setdefault(tuple(key), {})[exp] = value
+        return {key: _scalar(lams) for key, lams in grouped.items()}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(degree={self.degree}, terms={str(self)!r})"

@@ -1,8 +1,9 @@
 """Differential operators on Z2xZ2-graded polynomial algebras.
 
-An operator is a sum of terms (coefficient monomial) * (ordered word of
-partials) with Scalar coefficients, plus a declared degree.  A partial
-d/d(v) carries the degree of v and obeys the graded Leibniz exchange
+An operator is a ``LamKeyed`` sum of terms (coefficient monomial) *
+(ordered word of partials), keyed by (monomial, partial word, lam exponent),
+with a declared degree.  A partial d/d(v) carries the degree of v and obeys
+the graded Leibniz exchange
 
     d_v . f = (d_v f) + koszul_sign(deg v, deg f) * f . d_v
 
@@ -15,7 +16,7 @@ koszul_sign(deg a, deg b) times that term of b.a and cancels.  Every
 contraction lowers the exponent, so that term keeps b's coefficient whole.
 ``GradedDiffOp(...)`` refuses a term whose degree differs from
 the declared one.  Composition preserves degree by construction (degrees
-add, and each exchange step keeps them), so ``compose`` and ``multiplier``
+add, and each exchange step keeps them), so ``compose`` and the bracket
 build their results through the trusted ``_of`` without re-checking.
 """
 
@@ -25,8 +26,8 @@ from typing import Mapping, Tuple, Union
 
 from .grading import D00, Degree, koszul_sign
 from . import lincomb
-from .lincomb import LinComb, add_into, setslot, signed_sum, term_text
-from .scalars import Scalar, as_scalar
+from .lincomb import add_into, setslot, signed_sum, term_text
+from .scalars import LamKeyed, Scalar, as_scalar
 from .grassmann import (
     GradedPoly,
     GradedVariable,
@@ -42,17 +43,14 @@ from .grassmann import (
 OpTerm = Tuple[Monomial, Monomial]
 
 
-class GradedDiffOp(LinComb):
-    """A graded differential operator with declared degree."""
+class GradedDiffOp(LamKeyed):
+    """A declared degree and terms {(monomial, partial word, lam exponent): nonzero GaussianRational}."""
 
     __slots__ = ("ctx", "degree", "terms")
 
     def __init__(self, ctx: VarContext, degree: Degree, terms: Mapping[OpTerm, Scalar] = ()):
         clean = {}
         for (mono, parts), coeff in dict(terms).items():
-            coeff = as_scalar(coeff)
-            if not coeff:
-                continue
             mono = tuple(mono)
             parts = tuple(parts)
             term_degree = ctx.monomial_degree(mono) + ctx.monomial_degree(parts)
@@ -61,13 +59,14 @@ class GradedDiffOp(LinComb):
                     f"term {ctx.monomial_str(mono)}*d[{ctx.monomial_str(parts)}] has degree "
                     f"{term_degree}, operator declares {degree}"
                 )
-            clean[(mono, parts)] = coeff
+            for exp, value in as_scalar(coeff).items():  # a Scalar holds no zero
+                clean[(mono, parts, exp)] = value
         setslot(self, "ctx", ctx)
         setslot(self, "degree", degree)
         setslot(self, "terms", clean)
 
     def with_degree(self, degree: Degree) -> GradedDiffOp:
-        return GradedDiffOp(self.ctx, degree, self.terms)
+        return GradedDiffOp(self.ctx, degree, self.scalar_terms())
 
     def _check_ctx(self, other: GradedDiffOp):
         if self.ctx != other.ctx:
@@ -76,15 +75,10 @@ class GradedDiffOp(LinComb):
     # -- linear structure --------------------------------------------------
     def _check(self, other: GradedDiffOp):
         self._check_ctx(other)
-        if self.terms and other.terms and self.degree != other.degree:
-            raise ValueError(
-                f"cannot add operators of degrees {self.degree} and {other.degree}"
-            )
+        super()._check(other)
 
     def __mul__(self, other) -> GradedDiffOp:
-        if isinstance(other, GradedDiffOp):
-            return compose(self, other)
-        return self.scale(other)
+        return compose(self, other) if isinstance(other, GradedDiffOp) else self.scale(other)
 
     def lmul(self, poly: GradedPoly) -> GradedDiffOp:
         """Left multiplication by a homogeneous polynomial coefficient."""
@@ -99,19 +93,13 @@ class GradedDiffOp(LinComb):
     # -- queries ---------------------------------------------------------------
     def order(self) -> int:
         """Highest total number of partials in any term."""
-        return max((sum(e for _, e in parts) for _, parts in self.terms), default=0)
+        return max((sum(e for _, e in parts) for _, parts, _ in self.terms), default=0)
 
-    def coordinate_vector(self) -> dict:
-        """Exact coordinates: (monomial, partial word, lam exponent) -> GaussianRational."""
-        return {(mono, parts, exp): value for (mono, parts), coeff in self.terms.items()
-                for exp, value in coeff.items()}
-
-    def __repr__(self) -> str:
-        return f"GradedDiffOp(degree={self.degree}, terms={str(self)!r})"
+    coordinate_vector = LamKeyed.coordinate_vector  # own attribute: bench/tracer.py wraps it per class
 
     def __str__(self) -> str:
-        return signed_sum(term_text(str(self.terms[key]), self._factors(*key))
-                          for key in sorted(self.terms))
+        return signed_sum(term_text(str(coeff), self._factors(*key))
+                          for key, coeff in self.scalar_terms().items())
 
     def _factors(self, mono: Monomial, parts: Monomial) -> list[str]:
         factors = [self.ctx.monomial_str(mono)] if mono else []
@@ -132,10 +120,8 @@ def partial(ctx: VarContext, name: Union[str, GradedVariable]) -> GradedDiffOp:
 
 def multiplier(poly: GradedPoly) -> GradedDiffOp:
     """Left multiplication by a homogeneous polynomial, as an operator."""
-    degree = poly.homogeneous_degree()
-    if degree is None:
-        return zero(poly.ctx, D00)
-    return GradedDiffOp._of(poly.ctx, degree, {(mono, UNIT): c for mono, c in poly.terms.items()})
+    degree = poly.homogeneous_degree()  # None for the zero polynomial
+    return GradedDiffOp(poly.ctx, degree or D00, {(mono, UNIT): c for mono, c in poly.terms.items()})
 
 
 def _leibniz(ctx: VarContext, parts: Monomial, mono: Monomial):
@@ -166,8 +152,8 @@ def _product_into(result: dict, left: GradedDiffOp, right: GradedDiffOp, sign: i
     """result += sign * left.right normally ordered; ``contractions_only`` for brackets."""
     left._check_ctx(right)
     ctx = left.ctx
-    for (lmono, lparts), lcoeff in left.terms.items():
-        for (rmono, rparts), rcoeff in right.terms.items():
+    for (lmono, lparts, lexp), lcoeff in left.terms.items():
+        for (rmono, rparts, rexp), rcoeff in right.terms.items():
             coeff = None
             for factor, mono, parts in _leibniz(ctx, lparts, rmono):
                 if contractions_only and mono == rmono:
@@ -178,7 +164,8 @@ def _product_into(result: dict, left: GradedDiffOp, right: GradedDiffOp, sign: i
                     continue
                 if coeff is None:
                     coeff = lcoeff * rcoeff
-                add_into(result, (merged, parts), coeff * (factor * sign * merge_sign * parts_sign))
+                add_into(result, (merged, parts, lexp + rexp),
+                         coeff * (factor * sign * merge_sign * parts_sign))
     return result
 
 
@@ -203,7 +190,7 @@ def apply(op: GradedDiffOp, poly: GradedPoly) -> GradedPoly:
         raise ValueError("operator and polynomial belong to different contexts")
     ctx = op.ctx
     out = ctx.zero()
-    for (mono, parts), coeff in op.terms.items():
+    for (mono, parts), coeff in op.scalar_terms().items():
         value = poly
         for index, exp in reversed(parts):
             for _ in range(exp):

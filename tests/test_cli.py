@@ -136,6 +136,21 @@ def test_verify_missing_table_for_file(capsys, tmp_path):
     assert code == 2 and "--table" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify"], "verify needs --algebra and --realization, or --file"),
+    (["extract", "--algebra", "g22"], "extract needs --algebra and --realization, or --file"),
+    # the file is read before a missing --table is reported
+    (["verify", "--file", "{table}"], "{table} is a table definition, expected a realization"),
+    (["verify", "--file", "{real}"], "--file requires --table (corpus id or table file)"),
+])
+def test_verify_and_extract_read_a_realization_alike(capsys, tmp_path, argv, message):
+    paths = {"table": tmp_path / "table.txt", "real": tmp_path / "real.txt"}
+    paths["table"].write_text(GOOD_TABLE)
+    paths["real"].write_text(GOOD_REALIZATION)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out, err.splitlines()[0]) == (2, "", "error: " + message.format(**paths))
+
+
 def test_verify_parse_error_names_position(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("algebra demo\nkind table\n\nbasis:\n  A 0,0\n")

@@ -50,7 +50,8 @@ def assert_rebuilds(value):
     elif isinstance(value, MatDiffOp):
         rebuilt = MatDiffOp(public_terms(value), value.degree)
     elif isinstance(value, GradedDiffOp):
-        rebuilt = GradedDiffOp(value.ctx, value.degree, value.terms)
+        rebuilt = GradedDiffOp(value.ctx, value.degree, {key: Scalar(dict(coeff.items()))
+                                                         for key, coeff in value.scalar_terms().items()})
     else:
         rebuilt = GradedPoly(value.ctx, value.terms)
     assert rebuilt == value
