@@ -6,7 +6,7 @@ entries are stored for index pairs i <= j and the graded antisymmetry
 
     [[x, y]] = -koszul_sign(deg x, deg y) [[y, x]]
 
-supplies the rest, once per table.  A Realization maps the same labels
+supplies the rest, on first use.  A Realization maps the same labels
 to concrete operators (matrix differential operators or graded vector
 fields); extraction re-derives the table from operator brackets by
 exact linear solving, and verification replays every bracket against
@@ -98,15 +98,21 @@ class NotEigenvector(AlgebraError):
         self.label = label
 
 
-def _normalize_entry(entry) -> tuple[tuple[int, Scalar], ...]:
-    acc: dict[int, Scalar] = {}
+def _normalize_entry(entry: Entry) -> tuple:
+    """Ascending (target, nonzero coefficient) pairs, targets summed; Scalars unless all Gaussian rationals."""
+    gauss = all(type(coeff) is GaussianRational for _, coeff in entry)
+    if gauss and type(entry) is tuple and all(type(pair) is tuple and pair[1] for pair in entry) and all(
+            a < b for (a, _), (b, _) in zip(entry, entry[1:])):
+        return entry
+    acc: dict = {}
     for target, coeff in entry:
-        add_into(acc, target, as_scalar(coeff))
+        add_into(acc, target, coeff if gauss else as_scalar(coeff))
     return tuple(sorted(acc.items()))
 
 
 class BracketTable:
-    """Structure constants over a labeled, graded basis."""
+    """Structure constants over a labeled, graded basis.  ``constants`` holds each nonzero pair i <= j
+    once, the caller's tuple if already normal; the other ordered pairs are formed on first use."""
 
     def __init__(self, basis: Sequence[BasisItem], constants: Mapping[tuple[int, int], Entry]):
         self.basis: tuple[BasisItem, ...] = tuple((str(l), d) for l, d in basis)
@@ -124,7 +130,7 @@ class BracketTable:
                 continue
             deg_sum = self.basis[i][1] + self.basis[j][1]
             for target, coeff in entry:
-                if not coeff.is_lam_free:
+                if type(coeff) is Scalar and not coeff.is_lam_free:
                     raise BadEntry((i, j), f"structure constant for ({labels[i]},{labels[j]}) "
                                            f"depends on lam: {coeff}")
                 if self.basis[target][1] != deg_sum:
@@ -132,13 +138,20 @@ class BracketTable:
                                                          self.basis[target]))
             if i == j and koszul_sign(self.basis[i][1], self.basis[i][1]) == 1:
                 raise BadEntry((i, j), f"[[{labels[i]}, {labels[i]}]] is a commutator and must vanish")
-            clean[(i, j)] = tuple((target, coeff.constant_value()) for target, coeff in entry)
+            clean[(i, j)] = entry if type(entry[0][1]) is GaussianRational else tuple(
+                (target, coeff.constant_value()) for target, coeff in entry)
         self.constants = clean
-        self._signed = dict(clean)  # every ordered pair: (j, i) by graded antisymmetry
-        for (i, j), entry in clean.items():
-            if i < j:
-                sign = -koszul_sign(self.basis[j][1], self.basis[i][1])
-                self._signed[(j, i)] = tuple((t, c * sign) for t, c in entry)
+        self._signed = None  # every ordered pair's entry: _signed_map()
+
+    def _signed_map(self) -> dict[tuple[int, int], Constants]:
+        """Every ordered pair's entry, (j, i) by graded antisymmetry, built on first use."""
+        if self._signed is None:
+            self._signed = dict(self.constants)
+            for (i, j), entry in self.constants.items():
+                if i < j:
+                    sign = -koszul_sign(self.basis[j][1], self.basis[i][1])
+                    self._signed[(j, i)] = tuple((t, c * sign) for t, c in entry)
+        return self._signed
 
     # -- queries ---------------------------------------------------------------
     def __len__(self) -> int:
@@ -149,7 +162,7 @@ class BracketTable:
 
     def bracket(self, i: int, j: int) -> Constants:
         """[[basis_i, basis_j]] as ((target index, coefficient), ...)."""
-        return self._signed.get((i, j), ())
+        return self._signed_map().get((i, j), ())
 
     def bracket_by_label(self, la: str, lb: str) -> Constants:
         return self.bracket(self.index[la], self.index[lb])
@@ -309,7 +322,7 @@ def change_basis(table: BracketTable, new_basis: Sequence[BasisItem],
                 for l, cjl in rows[j].items():
                     for target, coeff in table.bracket(k, l):
                         add_scaled(acc, cik * cjl * coeff, inverse[target].items())
-            constants[(i, j)] = acc.items()
+            constants[(i, j)] = tuple(sorted(acc.items()))
     return BracketTable(new_basis, constants)
 
 
@@ -344,7 +357,8 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
     else:
         checked = len(triples)
         sorted_triples = {tuple(sorted(t)) for t in triples}
-    sums = {t: acc for t in sorted_triples if (acc := _jacobi_sum(table._signed, degrees, *t))}
+    signed = table._signed_map()
+    sums = {t: acc for t in sorted_triples if (acc := _jacobi_sum(signed, degrees, *t))}
     if triples is None:
         triples = sorted({p for t in sums for p in permutations(t)})
     entries = []
@@ -352,7 +366,7 @@ def check_jacobi(table: BracketTable, triples: Union[Sequence[tuple[int, int, in
         if tuple(sorted(t)) not in sums:
             continue
         if t not in sums:
-            sums[t] = _jacobi_sum(table._signed, degrees, *t)
+            sums[t] = _jacobi_sum(signed, degrees, *t)
         residual = table.combo_str(sorted(sums[t].items()))
         labels = tuple(table.basis[x][0] for x in t)
         entries.append(Discrepancy("jacobi", labels, "0", residual, residual))
@@ -419,7 +433,7 @@ def extract_structure_constants(real: Realization) -> BracketTable:
             for k in coeffs:  # ascending, so the first wrong-degree target in basis order
                 if real.basis[k][1] != degree:
                     raise DegreeViolation((labels[i], labels[j]), degree, real.basis[k])
-            constants[(i, j)] = coeffs.items()
+            constants[(i, j)] = tuple(coeffs.items())
     return BracketTable(real.basis, constants)
 
 
@@ -491,13 +505,9 @@ def derived_generators(real: Realization, defs: Sequence[tuple[str, tuple[str, s
     """
     basis = list(real.basis)
     ops = dict(real.ops)
-    index = dict(real.index)
     for label, (la, lb) in defs:
-        if label in index:
+        if label in ops:
             raise ValueError(f"label {label} already defined")
-        op = ops[la].bracket(ops[lb])
-        degree = op.degree
-        basis.append((label, degree))
-        ops[label] = op
-        index[label] = len(basis) - 1
+        ops[label] = ops[la].bracket(ops[lb])
+        basis.append((label, ops[label].degree))
     return Realization(basis, ops)

@@ -11,6 +11,7 @@ from colorlie.grading import D00, D01, D10, D11, koszul_sign
 from colorlie.scalars import I, LAM, QI_ZERO, GaussianRational, Scalar, rational
 from colorlie import corpus, weyl
 from colorlie.algebra import (
+    BadEntry,
     BasisMismatch,
     BracketTable,
     ClosureFailure,
@@ -29,6 +30,7 @@ from colorlie.algebra import (
     weights,
     _diagnose_failure,
 )
+from colorlie.io import emit_table
 from colorlie.matop import scalar_op
 from colorlie.weyl import DT, DX, T, DiffOp
 
@@ -210,11 +212,8 @@ def perturbed_n1_tables(draw):
     return BracketTable(basis, {key: list(entry.items()) for key, entry in constants.items()})
 
 
-@settings(max_examples=30, deadline=None,
-          phases=[phase for phase in Phase if phase is not Phase.explain])
-@given(perturbed_n1_tables())
-def test_jacobi_failures_are_the_failures_of_the_scheunert_twist(table):
-    report = check_jacobi(table)
+def scheunert_jacobi_entries(table) -> list:
+    """(labels, residual) of each ordered triple that fails graded Jacobi, from the twist."""
     degrees = [d for _, d in table.basis]
     expected = []
     for (i, j, k), acc in sorted(twisted_super_jacobi_failures(table).items()):
@@ -223,8 +222,16 @@ def test_jacobi_failures_are_the_failures_of_the_scheunert_twist(table):
         residual = table.combo_str(sorted((t, Scalar.constant(v * factor)) for t, v in acc.items()))
         labels = tuple(table.basis[m][0] for m in (i, j, k))
         expected.append((labels, residual))
+    return expected
+
+
+@settings(max_examples=30, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.explain])
+@given(perturbed_n1_tables())
+def test_jacobi_failures_are_the_failures_of_the_scheunert_twist(table):
+    report = check_jacobi(table)
     assert report.checked == len(table) ** 3
-    assert [(d.labels, d.residual) for d in report.entries] == expected
+    assert [(d.labels, d.residual) for d in report.entries] == scheunert_jacobi_entries(table)
 
 
 def test_extract_structure_constants_roundtrip():
@@ -426,10 +433,65 @@ def test_realization_validation():
         Realization([("h", D00)], {"h": h, "extra": h})
 
 
-@pytest.mark.parametrize("table_id", ["g121.table", "g121.table_pm", "g22.table",
-                                      "g22.table_pm", "n1.table"])
+def seeded_unitriangular(basis, seed: int):
+    """A seeded invertible matrix that keeps degrees: the identity, plus units 1, -1, i
+    and -i below the diagonal, each row drawing on earlier elements of its own degree."""
+    rng = random.Random(seed)
+    n = len(basis)
+    matrix = [[rational(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if basis[i][1] == basis[j][1] and rng.random() < 0.3:
+                matrix[i][j] = rng.choice([rational(1), rational(-1), I, -I])
+    return matrix
+
+
+def extracted(alg: str, seed=None):
+    """The table extracted from the d-module of ``alg``, after a seeded basis change if given."""
+    real, _ = corpus.realization(alg, "dmodule")
+    if seed is not None:
+        real = real.transform(real.basis, seeded_unitriangular(real.basis, seed))
+    return extract_structure_constants(real)
+
+
+def changed_g22_table():
+    table = corpus.table("g22")
+    return change_basis(table, table.basis, seeded_unitriangular(table.basis, 28))
+
+
+def emitted_g22_extract():
+    """A table printed in every format before any ordered pair (j, i) is asked for."""
+    table = extracted("g22")
+    for fmt in ("text", "json", "latex"):
+        emit_table(table, fmt)
+    return table
+
+
+def scaled_g22_extract():
+    """The extracted g22 table rebuilt from its own entries, three constants scaled."""
+    table = extracted("g22")
+    mutated = dict(table.constants)
+    for key, factor in zip(sorted(mutated)[::40], (GaussianRational(2), GaussianRational(0, 1),
+                                                    GaussianRational(-3))):
+        (target, coeff), *rest = mutated[key]
+        mutated[key] = ((target, coeff * factor), *rest)
+    return BracketTable(table.basis, mutated)
+
+
+FLIP_TABLES = {
+    **{table_id: (lambda table_id=table_id: corpus.load(table_id).payload["table"])
+       for table_id in ("g121.table", "g121.table_pm", "g22.table", "g22.table_pm", "n1.table")},
+    **{f"extract {alg}.dmodule": (lambda alg=alg: extracted(alg)) for alg in ("g121", "g22", "n1")},
+    "extract g22.dmodule transformed": lambda: extracted("g22", seed=1),
+    "change_basis g22.table": changed_g22_table,
+    "extract g22.dmodule after emit_table": emitted_g22_extract,
+    "extract g22.dmodule scaled": scaled_g22_extract,
+}
+
+
+@pytest.mark.parametrize("table_id", list(FLIP_TABLES))
 def test_bracket_flips_the_stored_constants_for_every_ordered_pair(table_id):
-    table = corpus.load(table_id).payload["table"]
+    table = FLIP_TABLES[table_id]()
     n = len(table)
     for i in range(n):
         for j in range(n):
@@ -440,6 +502,37 @@ def test_bracket_flips_the_stored_constants_for_every_ordered_pair(table_id):
                 sign = (-1) ** (1 + di.a1 * dj.a1 + di.a2 * dj.a2)  # -(-1)^<di, dj>
                 expected = tuple((t, c * sign) for t, c in table.constants.get((j, i), ()))
             assert table.bracket(i, j) == expected, (table_id, i, j)
+    report = check_jacobi(table)
+    assert report.checked == n ** 3
+    assert [(d.labels, d.residual) for d in report.entries] == scheunert_jacobi_entries(table)
+    assert report.ok == (table_id != "extract g22.dmodule scaled")
+
+
+def test_entries_sum_duplicate_targets_whatever_the_coefficient_type():
+    basis = [("H", D00), ("E", D00), ("F", D00)]
+    one, two = GaussianRational(1), GaussianRational(2)
+    kept = ((1, one), (2, two))
+    table = BracketTable(basis, {(0, 1): kept, (0, 2): [(2, one), (1, two), (2, one)],
+                                 (1, 2): [(0, LAM), (0, 1 - LAM), (1, one), (1, -1)]})
+    assert table.constants[(0, 1)] is kept
+    assert table.constants[(0, 2)] == ((1, two), (2, two))
+    assert table.constants[(1, 2)] == ((0, one),)
+    assert {type(c) for entry in table.constants.values() for _, c in entry} == {GaussianRational}
+    mixed = BracketTable(basis, {(0, 1): [(1, one), (1, rational(1)), (1, 1)], (0, 2): ((2, one), (2, -one))})
+    assert mixed.constants == {(0, 1): ((1, GaussianRational(3)),)}
+
+
+@pytest.mark.parametrize("constants, message", [
+    ({(0, 1): [(1, LAM + 1)]}, "structure constant for (A,B) depends on lam: lam+1"),
+    ({(0, 1): ((0, GaussianRational(1)),)}, "bracket of A and B has degree (0,1) but targets A of degree (0,0)"),
+    ({(0, 1): [(0, rational(1)), (1, LAM)]}, "bracket of A and B has degree (0,1) but targets A of degree (0,0)"),
+    ({(0, 0): ((0, GaussianRational(1)),)}, "[[A, A]] is a commutator and must vanish"),
+    ({(0, 0): [(0, GaussianRational(1)), (0, rational(1))]}, "[[A, A]] is a commutator and must vanish"),
+], ids=["lam", "degree-gaussian", "degree-before-lam", "commutator-gaussian", "commutator-mixed"])
+def test_bad_entries_are_refused_with_one_message_whatever_the_coefficient_type(constants, message):
+    with pytest.raises(BadEntry) as info:
+        BracketTable([("A", D00), ("B", D01)], constants)
+    assert str(info.value) == message and info.value.pair == next(iter(constants))
 
 
 @pytest.mark.parametrize("path", ["built", "parsed", "restrict", "change_basis", "extract"])
