@@ -133,6 +133,9 @@ class BracketTable:
                 if type(coeff) is Scalar and not coeff.is_lam_free:
                     raise BadEntry((i, j), f"structure constant for ({labels[i]},{labels[j]}) "
                                            f"depends on lam: {coeff}")
+                if not 0 <= target < n:
+                    raise BadEntry((i, j), f"bracket of {labels[i]} and {labels[j]} targets index {target}, "
+                                           f"outside the {n}-element basis")
                 if self.basis[target][1] != deg_sum:
                     raise BadEntry((i, j), _wrong_degree((labels[i], labels[j]), deg_sum,
                                                          self.basis[target]))
@@ -427,8 +430,7 @@ def extract_structure_constants(real: Realization) -> BracketTable:
             target = bracket.coordinate_vector()
             coeffs, residual = solver.solve(target)
             if residual:  # bracket - sum c_k op_k, whatever their degrees
-                rest = _combine(bracket, ((ops[k], -c) for k, c in coeffs.items()))
-                _diagnose_failure((labels[i], labels[j]), columns, target, str(rest))
+                _diagnose_failure((labels[i], labels[j]), columns, target, str(bracket._like(residual)))
             degree = real.basis[i][1] + real.basis[j][1]
             for k in coeffs:  # ascending, so the first wrong-degree target in basis order
                 if real.basis[k][1] != degree:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .grading import D00, Degree
-from .lincomb import LinComb, add_into, setslot, signed_sum, term_text
+from .lincomb import LinComb, add_into, product, setslot, signed_sum, term_text
 from .scalars import Scalar, as_scalar
 
 # A normally ordered monomial: ((var_index, exponent), ...) with indices
@@ -174,13 +174,11 @@ class GradedPoly(LinComb):
         if not isinstance(other, GradedPoly):
             return self.scale(other)
         self._check(other)
-        terms: dict[Monomial, Scalar] = {}
-        for lm, lc in self.terms.items():
-            for rm, rc in other.terms.items():
-                sign, mono = mono_mul(self.ctx, lm, rm)
-                if mono is not None:
-                    add_into(terms, mono, lc * rc * sign)
-        return GradedPoly._of(self.ctx, terms)
+
+        def rule(lm: Monomial, rm: Monomial) -> tuple:  # mono_mul's term, or none if it vanishes
+            sign, mono = mono_mul(self.ctx, lm, rm)
+            return () if mono is None else ((sign, mono),)
+        return GradedPoly._of(self.ctx, product(self.terms, other.terms, rule))
 
     # -- queries -----------------------------------------------------------
     def homogeneous_degree(self) -> Union[Degree, None]:

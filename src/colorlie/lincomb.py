@@ -10,6 +10,8 @@ what they share:
 
 * ``add_into`` -- the one accumulate-and-drop-zero step, and ``add_scaled``,
   which accumulates a multiple of (key, value) pairs with it;
+* ``product`` -- the one term-pair loop: the Weyl, Grassmann and lam
+  products and lam scaling each pass it their rule for two keys;
 * ``Frozen`` -- immutable slotted values that pickle slot by slot;
 * ``LinComb`` -- the linear structure of a ``terms`` dict;
 * ``term_text`` and ``signed_sum`` -- the one term printer;
@@ -49,6 +51,19 @@ def add_scaled(terms: dict, factor, items: Iterable) -> None:
     """terms += factor * the (key, value) pairs of items, in place, dropping keys that cancel."""
     for key, value in items:
         add_into(terms, key, factor * value)
+
+
+def product(left: dict, right: dict, rule: Callable) -> dict:
+    """The bilinear extension of ``rule(left_key, right_key)``, a sequence of (int factor, key)
+    pairs: lc * rc * factor summed at each key, zeros dropped; an empty rule multiplies nothing."""
+    terms: dict = {}
+    for lk, lc in left.items():
+        for rk, rc in right.items():
+            if pairs := rule(lk, rk):
+                coeff = lc * rc
+                for factor, key in pairs:
+                    add_into(terms, key, coeff if factor == 1 else coeff * factor)
+    return terms
 
 
 class Frozen:

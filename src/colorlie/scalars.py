@@ -6,8 +6,8 @@ presentations) whose coefficients are Gaussian rationals a + b*i.  All
 arithmetic is exact; equality means coefficient-by-coefficient identity.
 Scalars form a commutative ring -- division only exists for Gaussian
 rationals (constants), which is all the linear solver ever needs.
-A ``Scalar`` is a ``LinComb`` over lam exponents: sums, negation and
-scaling by a constant are the sparse core's, and only its product is its own.
+A ``Scalar`` is a ``LinComb`` over lam exponents: sums, negation, scaling and
+the term-pair loop of products are the sparse core's; a product adds exponents.
 An operator (``LamKeyed``) splits each Scalar coefficient over its keys.
 
 A Gaussian rational is one reduced int triple (a, b, d) meaning
@@ -23,7 +23,7 @@ import sys
 from math import gcd
 from typing import TYPE_CHECKING, Mapping, Union
 
-from .lincomb import Frozen, LinComb, add_into, setslot, signed_sum, term_text
+from .lincomb import Frozen, LinComb, product, setslot, signed_sum, term_text
 if TYPE_CHECKING:
     from fractions import Fraction
 RationalLike = Union[int, "Fraction"]
@@ -181,7 +181,7 @@ class Scalar(LinComb):
     """A polynomial in ``lam`` with GaussianRational coefficients.
 
     A LinComb over lam exponents, {lam-exponent: nonzero coefficient}, so
-    sums, negation and scaling are the core's.  Immutable.
+    sums, negation, scaling and the product's loop are the core's.  Immutable.
     """
 
     __slots__ = ("terms",)
@@ -254,11 +254,7 @@ class Scalar(LinComb):
             if type(other) is not GaussianRational and not _is_rational(other):
                 return NotImplemented  # so other.__rmul__ runs: an operator scales itself
             return self if other == 1 else self.scale(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                add_into(terms, e1 + e2, c1 * c2)
-        return _scalar(terms)
+        return _scalar(product(self.terms, other.terms, lambda e1, e2: ((1, e1 + e2),)))
 
     __rmul__ = __mul__
 
@@ -320,11 +316,8 @@ class LamKeyed(LinComb):
 
     def scale(self, factor):
         """factor * self; a lam-dependent factor shifts the lam exponents."""
-        terms: dict = {}
-        for fexp, fvalue in as_scalar(factor).items():
-            for (*key, exp), value in self.terms.items():
-                add_into(terms, (*key, exp + fexp), value * fvalue)
-        return self._like(terms)
+        return self._like(product(as_scalar(factor).terms, self.terms,
+                                  lambda fexp, key: ((1, (*key[:-1], key[-1] + fexp)),)))
 
     def coordinate_vector(self) -> dict:
         """The terms, (key..., lam exponent) -> GaussianRational: read only."""

@@ -7,11 +7,11 @@ a product of two monomials with the exchange rule
 
     dt^m . t^n = sum_k C(m,k) * n!/(n-k)! * t^(n-k) * dt^(m-k)
 
-once per pair, into the table that ``compose`` here and ``matop``'s products
-read.  Its first term is the uncontracted k = 0 one, which ``matop`` brackets
-skip when the coefficients of the two symbols commute as matrices.
-``apply`` differentiates a polynomial directly; compose and apply must
-agree on every polynomial, which the tests use as a cross-check.
+once per pair: ``compose`` reads it as the rule of ``lincomb.product``, and
+``matop``'s products read it too.  Its first term is the uncontracted k = 0
+one, which ``matop`` brackets skip when the coefficients of the two symbols
+commute as matrices.  ``apply``'s rule differentiates directly; compose and
+apply must agree on every polynomial, a cross-check of the two rules.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Mapping, NamedTuple
 
-from .lincomb import LinComb, add_into, setslot, signed_sum, term_text
+from .lincomb import LinComb, product, setslot, signed_sum, term_text
 from .scalars import Scalar, as_scalar
 
 
@@ -114,14 +114,9 @@ def mono_product(lm: WeylMonomial, rm: WeylMonomial) -> tuple:
 
 
 def compose(left: DiffOp, right: DiffOp) -> DiffOp:
-    """Normal ordering of the operator product left . right."""
-    terms: dict[WeylMonomial, Scalar] = {}
-    for lm, lc in left.terms.items():
-        for rm, rc in right.terms.items():
-            coeff = lc * rc
-            for factor, mono in mono_product(lm, rm):
-                add_into(terms, mono, coeff * factor)
-    return DiffOp._of(terms)
+    """Normal ordering of the operator product left . right: ``mono_product``,
+    read as the rule of ``lincomb.product``, re-orders each pair of monomials."""
+    return DiffOp._of(product(left.terms, right.terms, mono_product))
 
 
 def apply(op: DiffOp, poly: DiffOp) -> DiffOp:
@@ -133,12 +128,12 @@ def apply(op: DiffOp, poly: DiffOp) -> DiffOp:
     """
     if not poly.is_polynomial():
         raise ValueError("apply expects a polynomial (no derivative factors)")
-    terms: dict[WeylMonomial, Scalar] = {}
-    for om, oc in op.terms.items():
-        for pm, pc in poly.terms.items():
-            if om.dt > pm.pt or om.dx > pm.px:
-                continue
-            factor = perm(pm.pt, om.dt) * perm(pm.px, om.dx)
-            mono = WeylMonomial(om.pt + pm.pt - om.dt, om.px + pm.px - om.dx, 0, 0)
-            add_into(terms, mono, oc * pc * factor)
-    return DiffOp._of(terms)
+    return DiffOp._of(product(op.terms, poly.terms, _differentiate))
+
+
+def _differentiate(om: WeylMonomial, pm: WeylMonomial) -> tuple:
+    """The monomial om applied to the polynomial monomial pm: one (factor, monomial) or none."""
+    if om.dt > pm.pt or om.dx > pm.px:
+        return ()
+    return ((perm(pm.pt, om.dt) * perm(pm.px, om.dx),
+             WeylMonomial(om.pt + pm.pt - om.dt, om.px + pm.px - om.dx, 0, 0)),)

@@ -528,7 +528,10 @@ def test_entries_sum_duplicate_targets_whatever_the_coefficient_type():
     ({(0, 1): [(0, rational(1)), (1, LAM)]}, "bracket of A and B has degree (0,1) but targets A of degree (0,0)"),
     ({(0, 0): ((0, GaussianRational(1)),)}, "[[A, A]] is a commutator and must vanish"),
     ({(0, 0): [(0, GaussianRational(1)), (0, rational(1))]}, "[[A, A]] is a commutator and must vanish"),
-], ids=["lam", "degree-gaussian", "degree-before-lam", "commutator-gaussian", "commutator-mixed"])
+    ({(0, 1): ((-1, GaussianRational(1)),)}, "bracket of A and B targets index -1, outside the 2-element basis"),
+    ({(0, 1): [(1, rational(1)), (2, rational(1))]}, "bracket of A and B targets index 2, outside the 2-element basis"),
+], ids=["lam", "degree-gaussian", "degree-before-lam", "commutator-gaussian", "commutator-mixed",
+        "target-negative", "target-past-the-end"])
 def test_bad_entries_are_refused_with_one_message_whatever_the_coefficient_type(constants, message):
     with pytest.raises(BadEntry) as info:
         BracketTable([("A", D00), ("B", D01)], constants)
