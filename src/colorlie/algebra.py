@@ -1,7 +1,8 @@
 """Bracket tables, structure-constant extraction, and verification.
 
 A BracketTable stores the structure constants of a Z2xZ2-graded algebra
-over labeled, graded basis elements.  Constants are Gaussian rationals;
+over a _Labeled basis: distinct labels, each with a degree, checked once
+for tables and realizations alike.  Constants are Gaussian rationals;
 entries are stored for index pairs i <= j and the graded antisymmetry
 
     [[x, y]] = -koszul_sign(deg x, deg y) [[y, x]]
@@ -26,6 +27,7 @@ from .scalars import QI_ZERO, GaussianRational, Scalar, as_scalar
 Entry = Sequence[tuple[int, object]]  # exact constants, or Scalars that must be lam-free
 Constants = tuple[tuple[int, GaussianRational], ...]
 BasisItem = tuple[str, Degree]
+SPLIT_KEYS = ("positive", "zero", "negative")  # the buckets of triangular_split, in order
 
 
 class AlgebraError(Exception):
@@ -110,16 +112,26 @@ def _normalize_entry(entry: Entry) -> tuple:
     return tuple(sorted(acc.items()))
 
 
-class BracketTable:
+class _Labeled:
+    """The basis both tables and realizations stand on: distinct labels, each with a degree."""
+
+    def __init__(self, basis: Sequence[BasisItem]):
+        self.basis: tuple[BasisItem, ...] = tuple((str(l), d) for l, d in basis)
+        self.index: dict[str, int] = {l: i for i, (l, _) in enumerate(self.basis)}
+        if len(self.index) != len(self.basis):
+            raise ValueError("duplicate basis labels")
+
+    def labels(self) -> list[str]:
+        return [l for l, _ in self.basis]
+
+
+class BracketTable(_Labeled):
     """Structure constants over a labeled, graded basis.  ``constants`` holds each nonzero pair i <= j
     once, the caller's tuple if already normal; the other ordered pairs are formed on first use."""
 
     def __init__(self, basis: Sequence[BasisItem], constants: Mapping[tuple[int, int], Entry]):
-        self.basis: tuple[BasisItem, ...] = tuple((str(l), d) for l, d in basis)
-        labels = [l for l, _ in self.basis]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate basis labels")
-        self.index: dict[str, int] = {l: i for i, (l, _) in enumerate(self.basis)}
+        super().__init__(basis)
+        labels = self.labels()
         clean: dict[tuple[int, int], Constants] = {}
         n = len(self.basis)
         for (i, j), entry in constants.items():
@@ -160,9 +172,6 @@ class BracketTable:
     def __len__(self) -> int:
         return len(self.basis)
 
-    def labels(self) -> list[str]:
-        return [l for l, _ in self.basis]
-
     def bracket(self, i: int, j: int) -> Constants:
         """[[basis_i, basis_j]] as ((target index, coefficient), ...)."""
         return self._signed_map().get((i, j), ())
@@ -184,26 +193,17 @@ class BracketTable:
 
     # -- derived tables ----------------------------------------------------------
     def restrict(self, labels: Sequence[str], rename: Union[Mapping[str, str], None] = None) -> BracketTable:
-        """The subalgebra spanned by the given labels; errors if not closed."""
-        rename = dict(rename or {})
-        keep = [self.index[l] for l in labels]
-        old_to_new = {old: new for new, old in enumerate(keep)}
-        new_basis = [(rename.get(self.basis[old][0], self.basis[old][0]), self.basis[old][1]) for old in keep]
+        """The subalgebra on the given labels, in their order and renamed: it keeps the stored
+        entries its labels span, and refuses one with a target outside them as not closed."""
+        rename = rename or {}
+        new = {self.index[l]: k for k, l in enumerate(labels)}
         constants = {}
-        for ni in range(len(keep)):
-            for nj in range(ni, len(keep)):
-                entry = self.bracket(keep[ni], keep[nj])
-                remapped = []
-                for target, coeff in entry:
-                    if target not in old_to_new:
-                        raise ClosureFailure(
-                            (self.basis[keep[ni]][0], self.basis[keep[nj]][0]),
-                            self.combo_str(entry),
-                        )
-                    remapped.append((old_to_new[target], coeff))
-                if remapped:
-                    constants[(ni, nj)] = remapped
-        return BracketTable(new_basis, constants)
+        for (i, j), entry in self._signed_map().items():
+            if i in new and j in new and new[i] <= new[j]:
+                if any(target not in new for target, _ in entry):
+                    raise ClosureFailure((self.basis[i][0], self.basis[j][0]), self.combo_str(entry))
+                constants[(new[i], new[j])] = [(new[target], coeff) for target, coeff in entry]
+        return BracketTable([(rename.get(l, l), self.basis[self.index[l]][1]) for l in labels], constants)
 
 
 class Discrepancy(NamedTuple):
@@ -228,14 +228,11 @@ class DiscrepancyReport(NamedTuple):
         return not self.entries
 
 
-class Realization:
+class Realization(_Labeled):
     """Labels and degrees bound to concrete graded operators."""
 
     def __init__(self, basis: Sequence[BasisItem], ops: Mapping[str, object]):
-        self.basis: tuple[BasisItem, ...] = tuple((str(l), d) for l, d in basis)
-        self.index = {l: i for i, (l, _) in enumerate(self.basis)}
-        if len(self.index) != len(self.basis):
-            raise ValueError("duplicate basis labels")
+        super().__init__(basis)
         if set(ops) != set(self.index):
             missing = set(self.index) ^ set(ops)
             raise ValueError(f"operator set does not match basis: {sorted(missing)}")
@@ -253,9 +250,6 @@ class Realization:
 
     def op(self, label: str):
         return self.ops[label]
-
-    def labels(self) -> list[str]:
-        return [l for l, _ in self.basis]
 
     def bracket(self, la: str, lb: str):
         return self.ops[la].bracket(self.ops[lb])
@@ -463,7 +457,7 @@ def weights(table: BracketTable, grading_labels: Sequence[str]) -> dict[str, tup
 
 def triangular_split(weight_map: Mapping[str, tuple[GaussianRational, ...]]) -> dict[str, list[str]]:
     """Partition labels by the lexicographic sign of their real weight vector."""
-    split = {"positive": [], "zero": [], "negative": []}
+    split = {key: [] for key in SPLIT_KEYS}
     for label, row in weight_map.items():
         bucket = "zero"
         for value in row:

@@ -241,21 +241,15 @@ def _cmd_split(args) -> int:
     split = triangular_split(computed)
     if args.format == "text":
         lines = [f"{args.algebra} triangular split ({basis} basis)"]
-        lines += [f"  {key}: {' '.join(split[key])}"
-                  for key in ("positive", "zero", "negative")]
+        lines += [f"  {key}: {' '.join(labels)}" for key, labels in split.items()]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        sys.stdout.write(json_text({
-            "algebra": args.algebra, "basis": basis,
-            "split": {key: split[key] for key in ("positive", "zero", "negative")}}))
+        sys.stdout.write(json_text({"algebra": args.algebra, "basis": basis, "split": split}))
     return 0
 
 
 def _cmd_export(args) -> int:
-    try:
-        entry = corpus.load(args.entry)
-    except corpus.UnknownId as exc:
-        raise CliError(str(exc)) from exc
+    entry = corpus.load(args.entry)
     if args.format == "definition":
         sys.stdout.write(emit_definition(entry))
         return 0

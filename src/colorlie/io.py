@@ -47,7 +47,7 @@ from .grading import Degree, koszul_sign
 from .lincomb import LinComb, signed_sum, term_text
 from .scalars import GaussianRational, LamKeyed, Scalar, as_scalar
 from . import matop, scalars, vecfield, weyl
-from .algebra import AlgebraError, BadEntry, BracketTable, DiscrepancyReport, Realization
+from .algebra import SPLIT_KEYS, AlgebraError, BadEntry, BracketTable, DiscrepancyReport, Realization
 from .grassmann import VarContext
 from .matop import MatDiffOp
 from .vecfield import GradedDiffOp
@@ -369,7 +369,6 @@ KINDS = tuple(_LAYOUT)
 _SECTIONS = {"notes", *(name for names in _LAYOUT.values() for name in names)}
 _BASIS_LINE_RE = re.compile(rf"({_IDENT})\s*\(\s*([01])\s*,\s*([01])\s*\)")
 _BRACKET_RE = re.compile(rf"([\[{{])\s*({_IDENT})\s*,\s*({_IDENT})\s*([\]}}])")
-_SPLIT_KEYS = ("positive", "zero", "negative")
 _IDENT_RE = re.compile(_IDENT)
 _ID_RE = re.compile(rf"{_IDENT}(?:\.{_IDENT})*")
 _WORD_RE = re.compile(r"\S+")
@@ -631,12 +630,11 @@ def parse_definition(text: str) -> CorpusEntry:
             weight_at[label] = (number, label_col)
         split: Union[dict[str, list[str]], None] = None
         if "split" in named:
-            split = {key: [] for key in _SPLIT_KEYS}
+            split = {key: [] for key in SPLIT_KEYS}
             for number, line in named["split"]:
                 key, colon, _ = line.partition(":")
                 if not colon:
-                    raise ParseError("expected 'positive|zero|negative: labels...'",
-                                     number, _indent_col(line))
+                    raise ParseError(f"expected '{'|'.join(SPLIT_KEYS)}: labels...'", number, _indent_col(line))
                 if key.strip() not in split:
                     raise ParseError(f"unknown split bucket {key.strip()!r}", number, _indent_col(line))
                 for label, col in _labels(line, number, len(key) + 1):
@@ -735,7 +733,7 @@ def emit_definition(entry: CorpusEntry) -> str:
         out.append("")
         if payload["split"] is not None:
             out.append("split:")
-            for key in _SPLIT_KEYS:
+            for key in SPLIT_KEYS:
                 out.append(f"  {key}: " + " ".join(payload["split"][key]))
             out.append("")
     if entry.notes:

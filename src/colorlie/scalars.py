@@ -91,6 +91,8 @@ class GaussianRational(Frozen):
 
     # -- ring / field operations -------------------------------------------
     def __add__(self, other) -> GaussianRational:
+        if type(other) is not GaussianRational and not _is_rational(other):
+            return NotImplemented  # so other.__radd__ runs: a Scalar adds itself
         a, b, d = self._abd
         c, e, f = _as_gauss(other)._abd
         if d == f:
@@ -100,7 +102,7 @@ class GaussianRational(Frozen):
     __radd__ = __add__
 
     def __sub__(self, other) -> GaussianRational:
-        return self + -_as_gauss(other)
+        return self + -other  # a Scalar's negation adds itself through its __radd__
 
     def __rsub__(self, other) -> GaussianRational:
         return _as_gauss(other) - self

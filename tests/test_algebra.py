@@ -414,6 +414,58 @@ def test_restrict_and_closure():
     assert even.labels() == ["h", "pt"]
 
 
+CORPUS_TABLES = [("g121", "standard"), ("g121", "pm"), ("g22", "standard"), ("g22", "pm"), ("n1", "standard")]
+SUBGROUPS = [{D00}, {D00, D01}, {D00, D10}, {D00, D11}, {D00, D01, D10, D11}]  # unions of sectors that close
+
+
+def dense_restrict(table, labels, rename):
+    """The restriction by bracketing every pair of kept labels; None if a bracket leaves their span."""
+    new = {table.index[label]: k for k, label in enumerate(labels)}
+    constants = {}
+    for a, la in enumerate(labels):
+        for b, lb in enumerate(labels[a:], a):
+            entry = table.bracket_by_label(la, lb)
+            if any(target not in new for target, _ in entry):
+                return None
+            constants[(a, b)] = [(new[target], coeff) for target, coeff in entry]
+    return BracketTable([(rename.get(l, l), table.basis[table.index[l]][1]) for l in labels], constants)
+
+
+@st.composite
+def restrictions(draw):
+    """A corpus table, a shuffled label list (a closing union of sectors, or any subset) and renames."""
+    table = corpus.table(*draw(st.sampled_from(CORPUS_TABLES)))
+    if draw(st.booleans()):
+        sectors = draw(st.sampled_from(SUBGROUPS))
+        labels = [label for label, degree in table.basis if degree in sectors]
+    else:
+        labels = draw(st.lists(st.sampled_from(table.labels()), min_size=1, unique=True))
+    labels = draw(st.permutations(labels))
+    renamed = draw(st.lists(st.sampled_from(labels), unique=True))
+    return table, labels, {label: f"{label}'" for label in renamed}
+
+
+@settings(max_examples=60, deadline=None)
+@given(restrictions())
+def test_restrict_keeps_what_a_dense_bracket_of_every_kept_pair_finds(case):
+    table, labels, rename = case
+    expected = dense_restrict(table, labels, rename)
+    if expected is None:
+        with pytest.raises(ClosureFailure) as info:
+            table.restrict(labels, rename)
+        a, b = info.value.pair
+        entry = table.bracket_by_label(a, b)
+        assert {a, b} <= set(labels) and info.value.residual == table.combo_str(entry)
+        assert any(table.basis[target][0] not in labels for target, _ in entry)
+    else:
+        assert table.restrict(labels, rename) == expected
+        with pytest.raises(ValueError, match="duplicate basis labels"):
+            table.restrict(labels + labels[:1], rename)
+        if len(labels) > 1:
+            with pytest.raises(ValueError, match="duplicate basis labels"):
+                table.restrict(labels, {**rename, labels[0]: rename.get(labels[1], labels[1])})
+
+
 def test_derived_generators_via_graded_bracket():
     h = scalar_op(DT)
     p = scalar_op(DX).with_degree(D01)

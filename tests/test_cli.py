@@ -484,7 +484,8 @@ def test_export_rejects_non_table_format_mix(capsys):
 
 def test_export_unknown_entry(capsys):
     code, out, err = run(capsys, "export", "--entry", "n1.nope")
-    assert code == 2 and "unknown corpus id" in err
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown corpus id 'n1.nope' (known: {', '.join(corpus.ids())})\n"
 
 
 def test_argparse_errors_return_2(capsys):

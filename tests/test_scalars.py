@@ -275,6 +275,16 @@ def test_floats_are_rejected():
         GaussianRational(1) * 0.5
 
 
+def test_gaussian_rational_plus_or_minus_a_scalar_is_the_scalar_sum():
+    one = GaussianRational(1)
+    assert one + LAM == LAM + 1 and type(one + LAM) is Scalar
+    assert one - LAM == 1 - LAM and type(one - LAM) is Scalar
+    for inexact in (0.5, Decimal("0.5")):
+        for refused in (lambda x: one + x, lambda x: x + one, lambda x: one - x, lambda x: x - one):
+            with pytest.raises(TypeError):
+                refused(inexact)
+
+
 # -- reading, printing and hashing from the triple, against Fraction --------
 
 big = st.integers(min_value=-10**40, max_value=10**40)

@@ -5,8 +5,10 @@ The package declares ``requires-python >= 3.10``.  ``ast.parse`` with
 ``except*`` or ``type`` aliases.  This checks grammar only, not standard
 library APIs: a call to a function added in 3.11 still parses.
 
-Every module of the package also imports only names it uses: no linter is
-installed, so the check walks the syntax tree itself.
+Every module of the package also imports only names it uses, and every
+private helper it defines is read somewhere in the package outside its own
+definition, so a refactor leaves no dead helper behind: no linter is
+installed, so the checks walk the syntax tree themselves.
 """
 
 import ast
@@ -66,3 +68,46 @@ def test_unused_import_check_sees_string_annotations_and_misses_nothing_else():
               "from .lincomb import add_into, setslot\nfrom fractions import Fraction\n"
               "RationalLike = Union[int, \"Fraction\"]\n\ndef f(x: 'os.PathLike'):\n    setslot(x)\n")
     assert _unused_imports(ast.parse(source)) == ["add_into (line 4)"]
+
+
+def _unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_name`` definitions, and ``_method`` definitions of module-level classes,
+    that no code in ``trees`` reads outside the definition itself.  Dunder names are protocol."""
+    defined = []  # (module, name, first line, last line)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, name.id, node.lineno, node.end_lineno)
+                            for target in targets for name in ast.walk(target)
+                            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, method.name, method.lineno, method.end_lineno) for method in node.body
+                            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    read = {}  # name -> [(module, line)]
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.setdefault(node.attr, []).append((module, node.lineno))
+            elif isinstance(node, ast.alias):
+                read.setdefault(node.name, []).append((module, node.lineno))
+    return [f"{module}: {name} (line {first})" for module, name, first, last in defined
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            and all(where == module and first <= line <= last for where, line in read.get(name, ()))]
+
+
+def test_every_private_helper_is_read_somewhere_else():
+    trees = {path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES if path.is_relative_to(ROOT / "src")}
+    assert _unreferenced_private_names(trees) == []
+
+
+def test_private_helper_check_finds_what_only_its_own_body_reads():
+    source = ("_USED = 1\n_LEFT = 2\n\ndef _walk(n):\n    return _walk(n - 1) if n else _USED\n\n"
+              "class C:\n    def _kept(self):\n        return self._gone\n\n    def _gone(self):\n"
+              "        return 0\n\n    def __len__(self):\n        return 0\n\nC()._kept()\n")
+    assert _unreferenced_private_names({"m": ast.parse(source)}) == ["m: _LEFT (line 2)", "m: _walk (line 4)"]
