@@ -196,6 +196,8 @@ class BracketTable(_Labeled):
         """The subalgebra on the given labels, in their order and renamed: it keeps the stored
         entries its labels span, and refuses one with a target outside them as not closed."""
         rename = rename or {}
+        if unknown := [l for l in labels if l not in self.index]:
+            raise ValueError(f"labels not in the basis: {', '.join(unknown)}")
         new = {self.index[l]: k for k, l in enumerate(labels)}
         constants = {}
         for (i, j), entry in self._signed_map().items():

@@ -139,6 +139,8 @@ def _resolve_table_spec(spec: str) -> BracketTable:
 
 def _resolve_realization(args, command: str) -> tuple[Realization, str]:
     """The realization of --file, or of --algebra and --realization, and its name."""
+    if args.file and (args.algebra or args.realization):
+        raise CliError(f"{command} needs --algebra and --realization, or --file, not both")
     if args.file:
         return _entry_payload(_load_definition_file(args.file), args.file, "realization"), args.file
     if args.algebra and args.realization:
@@ -196,14 +198,14 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
+    if bool(args.file) == bool(args.algebra):
+        raise CliError("jacobi needs --algebra or --file, not both")
     if args.file:
         table = _entry_payload(_load_definition_file(args.file), args.file, "table")
         subject = f"graded Jacobi on {args.file}"
-    elif args.algebra:
+    else:
         table = corpus.table(args.algebra, args.basis)
         subject = f"graded Jacobi on {args.algebra} table ({args.basis})"
-    else:
-        raise CliError("jacobi needs --algebra or --file")
     report = _jacobi_chunk(table)._replace(subject=subject)
     sys.stdout.write(emit_report(report, args.format, f"{report.checked} triples", "failures"))
     return 0 if report.ok else 1

@@ -463,7 +463,7 @@ def _parse_basis_lines(lines, what="basis element",
 
 
 def _bracket_head(text: str, number: int, col: int, degrees: Mapping[str, Degree], unknown: str):
-    """'[A, B]' at column col -> (symbol, A, B): labels in degrees, delimiters as _delimiters says."""
+    """'[A, B]' at column col -> (A, B): labels in degrees, delimiters as _delimiters says."""
     match = _BRACKET_RE.fullmatch(text)
     if not match:
         raise ParseError("expected '[A, B]' or '{A, B}'", number, col)
@@ -478,7 +478,7 @@ def _bracket_head(text: str, number: int, col: int, degrees: Mapping[str, Degree
     if open_sym != opening:
         raise ParseError(f"bracket of {left} {da} and {right} {db} must be written "
                          f"{opening}A, B{closing}", number, col)
-    return open_sym, left, right
+    return left, right
 
 
 def _delimiters(da: Degree, db: Degree) -> tuple[str, str]:
@@ -500,7 +500,7 @@ def _section_map(sections, kind: str):
 
 def _require(sections: Mapping[str, list], name: str, kind: str):
     if name not in sections:
-        raise ParseError(f"a {kind} entry needs a {name!r} section", 1, 1)
+        raise ParseError(f"the {kind} entry has no {name!r} section", 1, 1)
     return sections[name]
 
 
@@ -531,12 +531,12 @@ def _parse_operator_sections(sections, kind: str, basis, context=None):
         ops[label] = _of_degree(value, label, degrees[label], number, rhs_col)
     operator_order = list(ops)
 
-    derived: list[tuple[str, str, tuple[str, str]]] = []
+    derived: list[tuple[str, tuple[str, str]]] = []
     for number, label, rhs, rhs_col in _assignments(sections.get("derived", []), degrees, ops):
         defined = {name: op.degree for name, op in ops.items()}
-        symbol, la, lb = _bracket_head(rhs, number, rhs_col, defined, "{!r} is not defined yet")
+        la, lb = _bracket_head(rhs, number, rhs_col, defined, "{!r} is not defined yet")
         ops[label] = _of_degree(ops[la].bracket(ops[lb]), label, degrees[label], number, rhs_col)
-        derived.append((label, symbol, (la, lb)))
+        derived.append((label, (la, lb)))
 
     missing = [label for label, _ in basis if label not in ops]
     if missing:
@@ -567,7 +567,7 @@ def parse_definition(text: str) -> CorpusEntry:
         basis = _parse_basis_lines(_require(named, "basis", kind))
         realization, order, derived = _parse_operator_sections(
             named, kind, basis, payload.get("context"))
-        payload.update(basis=basis, realization=realization, operator_order=order, derived=derived)
+        payload.update(realization=realization, operator_order=order, derived=derived)
     elif kind == "table":
         basis = _parse_basis_lines(_require(named, "basis", kind))
         labels = [label for label, _ in basis]
@@ -577,8 +577,7 @@ def parse_definition(text: str) -> CorpusEntry:
         where: dict[tuple[int, int], tuple[int, int]] = {}  # stored pair -> its bracket's position
         for number, line in _require(named, "table", kind):
             headtext, head_col, rhs, rhs_col = _split_equals(line, number)
-            symbol, la, lb = _bracket_head(headtext, number, head_col, degrees,
-                                           "unknown basis label {!r}")
+            la, lb = _bracket_head(headtext, number, head_col, degrees, "unknown basis label {!r}")
             i, j = index[la], index[lb]
             combo = parse_combination(rhs, labels, number, rhs_col)
             entry = [(index[target], coeff) for target, coeff in combo.items()]
@@ -646,8 +645,7 @@ def parse_definition(text: str) -> CorpusEntry:
             if weight_at:
                 label = next(iter(weight_at))
                 raise ParseError(f"weight label {label!r} is in no split bucket", *weight_at[label])
-        payload = {"grading_labels": grading_labels, "weights": weights,
-                   "weight_order": list(weights), "split": split}
+        payload = {"grading_labels": grading_labels, "weights": weights, "split": split}
     notes = "\n".join(line.strip() for _, line in named.get("notes", []))
     return CorpusEntry(entry_id, kind, payload, notes)
 
@@ -664,18 +662,21 @@ def _head_field(head_line: tuple[int, str], expected: str) -> tuple[str, int]:
 def _parse_scalar_tuple(text: str, line: int, col: int, arity: int) -> tuple[Scalar, ...]:
     parser = _ExprParser(text, line, col)
     parser.expect_sym("(")
-    values = [parser.parse_expression()]
+    values = [(parser.peek(), parser.parse_expression())]  # each with its first token
     while parser.at_sym(","):
         parser.advance()
-        values.append(parser.parse_expression())
+        values.append((parser.peek(), parser.parse_expression()))
     parser.expect_sym(")")
     parser.expect_end()
-    if not all(isinstance(value, Scalar) for value in values):
-        raise ParseError("weight components must be scalars", line, col)
+    for at, value in values:  # a weight is an eigenvalue of ad Z: a constant
+        if not isinstance(value, Scalar):
+            raise ParseError("weight components must be scalars", at.line, at.col)
+        if not value.is_lam_free:
+            raise ParseError("weight components must not depend on lam", at.line, at.col)
     if len(values) != arity:
         raise ParseError(
             f"expected {arity} weight components, found {len(values)}", line, col)
-    return tuple(values)
+    return tuple(value for _, value in values)
 
 
 # ---------------------------------------------------------------------------
@@ -694,15 +695,15 @@ def emit_definition(entry: CorpusEntry) -> str:
     if entry.kind in ("d-module", "vector-field"):
         if entry.kind == "vector-field":
             basis_section("variables", [(v.name, v.degree) for v in payload["context"].variables])
-        basis_section("basis", payload["basis"])
         realization = payload["realization"]
+        basis_section("basis", realization.basis)
         out.append("operators:")
         for label in payload["operator_order"]:
             out.append(f"  {label} = {realization.op(label)}")
         out.append("")
         if payload["derived"]:
             out.append("derived:")
-            for label, _, (la, lb) in payload["derived"]:
+            for label, (la, lb) in payload["derived"]:
                 opening, closing = _delimiters(realization.op(la).degree, realization.op(lb).degree)
                 out.append(f"  {label} = {opening}{la}, {lb}{closing}")
             out.append("")
@@ -727,8 +728,8 @@ def emit_definition(entry: CorpusEntry) -> str:
         out.append("  " + " ".join(payload["grading_labels"]))
         out.append("")
         out.append("weights:")
-        for label in payload["weight_order"]:
-            values = ", ".join(str(value) for value in payload["weights"][label])
+        for label, weight in payload["weights"].items():
+            values = ", ".join(str(value) for value in weight)
             out.append(f"  {label} = ({values})")
         out.append("")
         if payload["split"] is not None:

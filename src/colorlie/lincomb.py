@@ -20,6 +20,8 @@ what they share:
 Construction rule: public constructors (``DiffOp(...)``, ``GradedDiffOp(...)``,
 ...) validate outside input; internal results, computed from valid values,
 go through ``Frozen._of``, which sets the slots unchecked, as unpickling does.
+The one exception is ``scalars._reduced``: it is on the path of every Gaussian
+operation, and building through ``_of`` made the g22 commands 8-23% slower in process.
 """
 
 from __future__ import annotations

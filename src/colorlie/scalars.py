@@ -172,13 +172,6 @@ QI_ZERO = GaussianRational(0)
 QI_I = GaussianRational(0, 1)
 
 
-def _scalar(terms: dict) -> Scalar:
-    """The Scalar over a dict of int exponents >= 0 and nonzero GaussianRationals."""
-    new = object.__new__(Scalar)
-    setslot(new, "terms", terms)
-    return new
-
-
 class Scalar(LinComb):
     """A polynomial in ``lam`` with GaussianRational coefficients.
 
@@ -197,8 +190,6 @@ class Scalar(LinComb):
             if coeff:
                 clean[exp] = coeff
         setslot(self, "terms", clean)
-
-    _like = staticmethod(_scalar)  # results of the core are built unchecked
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -256,7 +247,7 @@ class Scalar(LinComb):
             if type(other) is not GaussianRational and not _is_rational(other):
                 return NotImplemented  # so other.__rmul__ runs: an operator scales itself
             return self if other == 1 else self.scale(other)
-        return _scalar(product(self.terms, other.terms, lambda e1, e2: ((1, e1 + e2),)))
+        return Scalar._of(product(self.terms, other.terms, lambda e1, e2: ((1, e1 + e2),)))
 
     __rmul__ = __mul__
 
@@ -289,7 +280,7 @@ def as_scalar(value) -> Scalar:
         return value
     if isinstance(value, GaussianRational) or _is_rational(value):
         coeff = _as_gauss(value)
-        return _scalar({0: coeff} if coeff else {})
+        return Scalar._of({0: coeff} if coeff else {})
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
@@ -330,7 +321,7 @@ class LamKeyed(LinComb):
         grouped: dict = {}
         for (*key, exp), value in sorted(self.terms.items()):
             grouped.setdefault(tuple(key), {})[exp] = value
-        return {key: _scalar(lams) for key, lams in grouped.items()}
+        return {key: Scalar._of(lams) for key, lams in grouped.items()}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(degree={self.degree}, terms={str(self)!r})"

@@ -414,6 +414,11 @@ def test_restrict_and_closure():
     assert even.labels() == ["h", "pt"]
 
 
+def test_restrict_names_the_labels_the_table_lacks():
+    with pytest.raises(ValueError, match=r"^labels not in the basis: nope, Z$"):
+        corpus.table("g121").restrict(["H", "nope", "D", "Z"])
+
+
 CORPUS_TABLES = [("g121", "standard"), ("g121", "pm"), ("g22", "standard"), ("g22", "pm"), ("n1", "standard")]
 SUBGROUPS = [{D00}, {D00, D01}, {D00, D10}, {D00, D11}, {D00, D01, D10, D11}]  # unions of sectors that close
 

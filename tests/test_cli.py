@@ -151,6 +151,28 @@ def test_verify_and_extract_read_a_realization_alike(capsys, tmp_path, argv, mes
     assert (code, out, err.splitlines()[0]) == (2, "", "error: " + message.format(**paths))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--algebra", "n1", "--file", "{real}", "--table", "{table}"],
+     "verify needs --algebra and --realization, or --file, not both"),
+    (["verify", "--realization", "dmodule", "--file", "{real}", "--table", "{table}"],
+     "verify needs --algebra and --realization, or --file, not both"),
+    (["extract", "--algebra", "n1", "--realization", "dmodule", "--file", "{real}"],
+     "extract needs --algebra and --realization, or --file, not both"),
+    (["extract", "--realization", "vectorfield", "--file", "{real}"],
+     "extract needs --algebra and --realization, or --file, not both"),
+    (["jacobi", "--algebra", "n1", "--file", "{table}"], "jacobi needs --algebra or --file, not both"),
+    (["jacobi", "--basis", "pm"], "jacobi needs --algebra or --file, not both"),
+], ids=["verify-algebra", "verify-realization", "extract-both", "extract-realization",
+        "jacobi-both", "jacobi-neither"])
+def test_a_command_checks_one_source(capsys, tmp_path, argv, message):
+    # a file and a corpus entry together would check one and ignore the other
+    paths = {"table": tmp_path / "table.txt", "real": tmp_path / "real.txt"}
+    paths["table"].write_text(GOOD_TABLE)
+    paths["real"].write_text(GOOD_REALIZATION)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_parse_error_names_position(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("algebra demo\nkind table\n\nbasis:\n  A 0,0\n")

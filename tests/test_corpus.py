@@ -67,9 +67,8 @@ def test_derived_bracket_values_in_dmodule():
     # {P, P} with P = dx is twice the second x-derivative on each component.
     expected = matop.scalar_op(weyl.DiffOp.monomial(dx=2, coeff=2))
     assert real.op("P~") == expected
-    derived = dict((label, (symbol, pair)) for label, symbol, pair
-                   in corpus.load("g121.dmodule").payload["derived"])
-    assert derived["P~"] == ("{", ("P", "P"))
+    derived = dict(corpus.load("g121.dmodule").payload["derived"])
+    assert derived["P~"] == ("P", "P")
 
 
 def test_n1_table_is_the_restriction():
@@ -113,7 +112,7 @@ def test_weights_entry_covers_basis():
         entry = corpus.weights_entry(algebra)
         basis = "standard" if algebra == "n1" else "pm"
         labels = [l for l, _ in corpus.table(algebra, basis).basis]
-        assert entry.payload["weight_order"] == labels
+        assert list(entry.payload["weights"]) == labels
         split = entry.payload["split"]
         members = split["positive"] + split["zero"] + split["negative"]
         assert sorted(members) == sorted(labels)

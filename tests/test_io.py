@@ -10,7 +10,8 @@ from colorlie.algebra import BracketTable
 from colorlie.grading import Degree
 from colorlie.grassmann import VarContext
 from colorlie.lincomb import signed_sum, term_text
-from colorlie.io import (_MAX_NESTING, CorpusEntry, ParseError, _coeff_latex, _combo_latex,
+from colorlie.cli import main
+from colorlie.io import (_MAX_NESTING, _MIXING, CorpusEntry, ParseError, _coeff_latex, _combo_latex,
                          emit_definition, emit_report, emit_table, label_to_latex,
                          parse_combination, parse_definition, parse_operator_expr,
                          table_to_dict, tokenize)
@@ -443,3 +444,77 @@ def test_printed_residuals_parse_back():
         with pytest.raises(ClosureFailure) as info:
             extract_structure_constants(real)
         _parses_back(info.value.residual, real.bracket("A", "B"))
+
+
+def _entry(kind: str, *sections: str) -> str:
+    """A definition file: the head lines, then each section after a blank line."""
+    return f"algebra demo\nkind {kind}\n" + "".join(f"\n{section}\n" for section in sections)
+
+
+_AB = "basis:\n  A (0,0)\n  B (0,0)"  # lines 4-6, so the next section's first line is 9
+_Y = "variables:\n  y (0,0)"  # before _AB, the operators' first line is 12
+_D = "grading-operators:\n  D"  # the weights' first line is 8
+
+
+@pytest.mark.parametrize("text, where", [
+    (_entry("vector-field", _Y, _AB, "operators:\n  A = y*t\n  B = y"), "12:8: " + _MIXING),
+    (_entry("d-module", _AB, "operators:\n  A = e(x,1)"), "9:9: expected an integer"),
+    (_entry("d-module", _AB, "operators:\n  A = dt)"), "9:9: unexpected ')' after expression"),
+    (_entry("d-module", _AB, "operators:\n  A = 1/0*dt"), "9:9: division by zero"),
+    (_entry("vector-field", _Y, _AB, "operators:\n  A = D(1)"),
+     "12:9: expected a variable name inside D(...)"),
+    (_entry("table", _AB, "table:\n  [A, B] = e(1,2)"),
+     "9:12: e(i,j) is not allowed in a bracket-table entry"),
+    (_entry("table", _AB, "table:\n  [A, B] = t"), "9:12: 't' is not allowed in a bracket-table entry"),
+    (_entry("d-module", _AB, "operators:\n  A = e(5,1)"),
+     "9:7: elementary matrix indices run from 1 to 4"),
+    (_entry("d-module", _AB, "operators:\n  A = D(y)"), "9:7: D(...) needs declared variables"),
+    (_entry("vector-field", _Y, _AB, "operators:\n  A = D(q)"), "12:7: unknown variable 'q'"),
+    (_entry("table", _AB, "table:\n  [A, B] = 2"),
+     "9:12: a table entry must be 0 or a combination of basis labels"),
+    (_entry("d-module", _AB, "operators:\n  A = dt\n  C = dt"), "10:3: 'C' is not in the basis"),
+    (_entry("d-module", _AB, "operators:\n  A = dt\n  A = t"), "10:3: 'A' is defined twice"),
+    (_entry("table", "basis:\n  A (0,0)\n  A (0,1)"), "6:3: duplicate label 'A'"),
+    (_entry("table", _AB, "table:\n  [A, B} = 0"), "9:3: mismatched bracket delimiters"),
+    (_entry("table", _AB, "operators:\n  A = dt"),
+     "8:1: section 'operators' does not belong in a table entry"),
+    (_entry("table", _AB, "basis:\n  C (0,0)"), "8:1: duplicate section 'basis'"),
+    (_entry("d-module", _AB), "1:1: the d-module entry has no 'operators' section"),
+    # the one check that a matrix realization's derived bracket has its declared degree
+    (_entry("d-module", "basis:\n  A (0,0)\n  B (0,1)\n  C (0,0)", "operators:\n  A = t\n  B = dt",
+            "derived:\n  C = [A, B]"), "14:7: C evaluates to degree (0,1), basis says (0,0)"),
+    (_entry("vector-field", _Y, _AB, "operators:\n  A = dt"),
+     "12:7: a vector-field entry defines graded vector fields"),
+    (_entry("d-module", _AB, "operators:\n  A = dt"), "1:1: basis elements without definitions: B"),
+    ("algebra demo\n", "1:1: expected 'algebra <id>' and 'kind <kind>' head lines"),
+    (_entry("nope", _AB),
+     "2:1: unknown kind 'nope' (expected one of d-module, vector-field, table, grading, "
+     "basis-change, weights)"),
+    (_entry("basis-change", "source-basis:\n  A (0,0)", _AB,
+            "combos:\n  A = A"), "1:1: new basis elements without combos: B"),
+    (_entry("weights", _D, "weights:\n  H = (1)\n  H = (1)"), "9:3: duplicate weight line for 'H'"),
+    (_entry("weights", _D, "weights:\n  H = (1)", "split:\n  positive H"),
+     "11:3: expected 'positive|zero|negative: labels...'"),
+    (_entry("weights", _D, "weights:\n  H = (1)", "split:\n  upper: H"),
+     "11:3: unknown split bucket 'upper'"),
+    (_entry("weights", _D, "weights:\n  H = (dt)"), "8:8: weight components must be scalars"),
+    # a weight is an eigenvalue of ad Z, so it is a constant
+    (_entry("weights", "grading-operators:\n  D Z", "weights:\n  H = (1, 2*lam)"),
+     "8:11: weight components must not depend on lam"),
+], ids=["mixed-product", "integer", "closing-parenthesis", "division-by-zero", "D-argument",
+        "table-elem", "table-t", "elem-index", "D-without-variables", "unknown-variable",
+        "table-scalar", "label-outside-basis", "defined-twice", "duplicate-label", "delimiters",
+        "foreign-section", "duplicate-section", "missing-section", "derived-degree",
+        "matrix-in-vector-field", "undefined-basis", "head-lines", "unknown-kind",
+        "missing-combo", "duplicate-weight", "split-colon", "split-bucket", "weight-operator",
+        "weight-lam"])
+def test_each_reader_error_names_its_line_column_and_reason(capsys, tmp_path, text, where):
+    with pytest.raises(ParseError) as info:
+        parse_definition(text)
+    assert f"{info.value.line}:{info.value.col}: {info.value.reason}" == where
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    command = "jacobi" if text.startswith("algebra demo\nkind table\n") else "extract"
+    assert main([command, "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}:{where}\n")

@@ -8,7 +8,9 @@ library APIs: a call to a function added in 3.11 still parses.
 Every module of the package also imports only names it uses, and every
 private helper it defines is read somewhere in the package outside its own
 definition, so a refactor leaves no dead helper behind: no linter is
-installed, so the checks walk the syntax tree themselves.
+installed, so the checks walk the syntax tree themselves.  And only the
+two trusted builders, ``lincomb.Frozen._of`` and ``scalars._reduced``,
+create a value with ``object.__new__``, so no second builder grows back.
 """
 
 import ast
@@ -111,3 +113,31 @@ def test_private_helper_check_finds_what_only_its_own_body_reads():
               "class C:\n    def _kept(self):\n        return self._gone\n\n    def _gone(self):\n"
               "        return 0\n\n    def __len__(self):\n        return 0\n\nC()._kept()\n")
     assert _unreferenced_private_names({"m": ast.parse(source)}) == ["m: _LEFT (line 2)", "m: _walk (line 4)"]
+
+
+def _object_new_sites(module: str, node: ast.AST, scope: str = "") -> list[str]:
+    """'module:Qualified.name' of each function, class or module body that reads ``object.__new__``."""
+    sites = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            sites += _object_new_sites(module, child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                and isinstance(child.value, ast.Name) and child.value.id == "object"):
+            sites.append(f"{module}:{scope}")
+        sites += _object_new_sites(module, child, scope)
+    return sites
+
+
+def test_only_the_trusted_builders_call_object_new():
+    sites = [site for path in SOURCES if path.is_relative_to(ROOT / "src")
+             for site in _object_new_sites(path.relative_to(ROOT).as_posix(),
+                                           ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+    assert sites == ["src/colorlie/lincomb.py:Frozen._of", "src/colorlie/scalars.py:_reduced"]
+
+
+def test_object_new_check_names_each_enclosing_scope():
+    source = ("X = object.__new__(int)\n\ndef f():\n    def g():\n        return object.__new__(C)\n"
+              "    return g\n\nclass C:\n    build = object.__new__\n\n    def m(self):\n"
+              "        return int.__new__(int)\n")
+    assert _object_new_sites("m", ast.parse(source)) == ["m:", "m:f.g", "m:C"]
